@@ -26,6 +26,7 @@ __all__ = [
     "inner_product",
     "norm",
     "pointwise_median",
+    "lower_median",
     "mean_curve",
     "as_matrix",
 ]
@@ -277,6 +278,8 @@ def pointwise_median(pop: CurvePopulation, weights=None) -> Curve:
     value whose cumulative weight reaches half the total.
     """
     values = pop.values
+    if weights is None:
+        return Curve(lower_median(values), pop.grid)
     n, _ = values.shape
     w = _positive_weights(weights, n)
     total = w.sum()
@@ -289,6 +292,21 @@ def pointwise_median(pop: CurvePopulation, weights=None) -> Curve:
     idx = np.argmax(cum >= target, axis=0)
     med = np.take_along_axis(sorted_vals, idx[None, :], axis=0)[0]
     return Curve(med, pop.grid)
+
+
+def lower_median(values: np.ndarray) -> np.ndarray:
+    """Unit-weight lower median of each column of an (N, D) matrix.
+
+    Selects the value of rank (N + 1) // 2 in each column, the value the
+    weighted rule above picks when every weight is one, without sorting.
+    """
+    k = (values.shape[0] + 1) // 2 - 1
+    med = np.partition(values, k, axis=0)[k].copy()
+    # -0.0 and 0.0 tie; a stable sort decides which sign of zero has rank k
+    zero = np.flatnonzero(med == 0)
+    if zero.size:
+        med[zero] = np.sort(values[:, zero], axis=0, kind="stable")[k]
+    return med
 
 
 def mean_curve(pop: CurvePopulation) -> Curve:

@@ -2,10 +2,12 @@
 
 Curve CSV layout: a header row ``id,t_1,...,t_D`` followed by one row per
 unit. When every header cell after ``id`` parses as a float those values
-are taken as the grid points; otherwise the points are unnamed and a
-uniform grid on [0, 1] is assumed. Floats are written with 12 significant
-digits, which round-trips the values used here well below every tolerance
-in the test suite.
+are taken as the grid points, which must then be finite and strictly
+increasing; otherwise the points are unnamed and a uniform grid on [0, 1]
+is assumed. A value cell holds anything Python's ``float()`` accepts
+(surrounding whitespace, ``1_000``, non-ASCII digits) as long as it is
+finite. Floats are written with 12 significant digits, which round-trips
+the values used here well below every tolerance in the test suite.
 """
 
 from __future__ import annotations
@@ -42,16 +44,19 @@ def read_curves(path: str | os.PathLike) -> CurvePopulation:
     """Load a curve population from CSV.
 
     Raises ParseError (with the offending line number) on structural
-    problems: missing header, ragged rows, non-numeric or non-finite
-    values, duplicate ids.
+    problems: missing header, a numeric header that is not a valid grid,
+    ragged rows, non-numeric or non-finite values, duplicate ids.
     """
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
+    rows = [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
+    # numpy strips the unit separator around a number, float() does not
+    bulk_ok = "\x1f" not in text
+    del text
     if not rows:
         raise ParseError("file is empty", path=path)
     header_no, header = rows[0]
@@ -62,32 +67,26 @@ def read_curves(path: str | os.PathLike) -> CurvePopulation:
     d = len(grid_labels)
     try:
         points = np.array([float(c) for c in grid_labels])
-        grid = TimeGrid.from_points(points)
     except ValueError:
         grid = TimeGrid.uniform(d)
+    else:
+        try:
+            grid = TimeGrid.from_points(points)
+        except ValueError as exc:
+            raise ParseError(f"invalid grid header: {exc}", path=path, line=header_no) from exc
 
-    ids: list[str] = []
-    values = np.empty((len(rows) - 1, d))
-    for r, (line_no, line) in enumerate(rows[1:]):
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise ParseError(
-                f"expected {d + 1} columns, found {len(cells)}", path=path, line=line_no
-            )
-        ids.append(cells[0].strip())
-        for j, cell in enumerate(cells[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(f"non-numeric value {cell.strip()!r}", path=path, line=line_no)
-            if not np.isfinite(v):
-                raise ParseError(f"non-finite value {cell.strip()!r}", path=path, line=line_no)
-            values[r, j] = v
-    if not ids:
+    body = rows[1:]
+    if not body:
         raise ParseError("no curve rows after the header", path=path, line=header_no)
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise ParseError(f"duplicate unit id {dup!r}", path=path)
+    values = _parse_bulk([line for _, line in body], d) if bulk_ok else None
+    if values is None:
+        values = _parse_rows(body, d, path)
+    ids = [line.partition(",")[0].strip() for _, line in body]
+    seen: set[str] = set()
+    for (line_no, _), uid in zip(body, ids):
+        if uid in seen:
+            raise ParseError(f"duplicate unit id {uid!r}", path=path, line=line_no)
+        seen.add(uid)
     id_array: np.ndarray
     try:
         id_array = np.array([int(i) for i in ids])
@@ -97,6 +96,44 @@ def read_curves(path: str | os.PathLike) -> CurvePopulation:
         return CurvePopulation(values, grid, ids=id_array)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
+
+
+def _parse_bulk(lines: list[str], d: int) -> np.ndarray | None:
+    """Parse every row's values in one numpy call.
+
+    Returns None when a row is ragged, when numpy rejects a cell, or when a
+    value is non-finite; the per-line parser then decides, so error
+    messages and what counts as a number stay those of ``_parse_rows``.
+    """
+    if any(line.count(",") != d for line in lines):
+        return None
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", usecols=range(1, d + 1), comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_rows(rows: list[tuple[int, str]], d: int, path: str) -> np.ndarray:
+    """Parse the value cells line by line with float(); raise at the first bad line."""
+    values = np.empty((len(rows), d))
+    for r, (line_no, line) in enumerate(rows):
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            raise ParseError(
+                f"expected {d + 1} columns, found {len(cells)}", path=path, line=line_no
+            )
+        for j, cell in enumerate(cells[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric value {cell.strip()!r}", path=path, line=line_no)
+            if not np.isfinite(v):
+                raise ParseError(f"non-finite value {cell.strip()!r}", path=path, line=line_no)
+            values[r, j] = v
+    return values
 
 
 def write_curves(path: str | os.PathLike, pop: CurvePopulation) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Curve, CurvePopulation, as_matrix
+from .curves import Curve, as_matrix, lower_median
 
 __all__ = ["SolverConfig", "MedianFit", "l1_median", "objective_value", "score"]
 
@@ -94,11 +94,8 @@ def _prepare(curves, weights):
 
 def _initial_point(values, grid, init) -> np.ndarray:
     if isinstance(init, str):
-        pop = CurvePopulation(values, grid, ids=np.arange(values.shape[0]))
         if init == "pointwise-median":
-            from .curves import pointwise_median
-
-            return pointwise_median(pop).values.copy()
+            return lower_median(values)
         if init == "mean":
             return values.mean(axis=0)
         raise ValueError(f"unknown init {init!r}")
@@ -113,10 +110,34 @@ def _initial_point(values, grid, init) -> np.ndarray:
 
 
 def _collinear(values: np.ndarray, grid) -> bool:
-    """True when all curves lie on one line in the grid geometry."""
+    """True when all curves lie on one line in the grid geometry.
+
+    The test is s_1 <= 1e-8 s_0 on the singular values of the centered,
+    sqrt(q)-scaled rows C. Most populations are certified non-collinear in
+    O(N D) first: for the row a of largest norm and the row b farthest from
+    the line through a, interlacing gives s_1(C) >= s_1([a; b]) >=
+    |a| |b_perp| / sqrt(|a|^2 + |b|^2), and s_0(C) <= |C|_F. A bound above
+    2e-8 |C|_F (twice the threshold, so rounding cannot flip the answer)
+    settles it; anything else goes to the SVD.
+    """
     if values.shape[0] <= 2 or values.shape[1] == 1:
         return True
-    centered = (values - values.mean(axis=0)) * np.sqrt(grid.weights)
+    centered = values - values.mean(axis=0)
+    centered *= np.sqrt(grid.weights)
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    fro2 = float(sq_norms.sum())
+    # below this scale squared entries lose digits to underflow
+    if 1e-200 < fro2 < np.inf:
+        top = int(np.argmax(sq_norms))
+        a, aa = centered[top], float(sq_norms[top])
+        proj = centered @ a
+        b = centered[np.argmax(sq_norms - proj * proj / aa)]
+        # recompute b's residual directly: the difference above cancels badly
+        b_perp = b - (float(b @ a) / aa) * a
+        # |a|^2 |b_perp|^2 / (|a|^2 + |b|^2), in an order that cannot overflow
+        lower2 = float(b_perp @ b_perp) / (1.0 + float(b @ b) / aa)
+        if lower2 > 4e-16 * fro2:
+            return False
     s = np.linalg.svd(centered, compute_uv=False)
     return bool(s[1] <= 1e-8 * s[0]) if s[0] > 0 else True
 
@@ -125,12 +146,8 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
     """Compute the weighted L1-median of curves on a shared grid."""
     cfg = cfg or SolverConfig()
     values, grid, w = _prepare(curves, weights)
-    n = values.shape[0]
     total_w = w.sum()
     y = _initial_point(values, grid, cfg.init)
-
-    spread = float(np.max(grid.norms(values - y))) if n else 0.0
-    anchor_eps = cfg.anchor_eps * max(spread, 1.0)
     gap_tol = cfg.tol * total_w
 
     trace: list[float] = []
@@ -138,25 +155,33 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
     anchored = False
     anchor_index: int | None = None
     iterations = 0
+    diffs = np.empty_like(values)
+    sq = np.empty_like(values)
 
     for it in range(cfg.max_iter + 1):
-        diffs = values - y
-        r = grid.norms(diffs)
+        np.subtract(values, y, out=diffs)
+        r = np.sqrt(np.square(diffs, out=sq) @ grid.weights)
+        if it == 0:
+            anchor_eps = cfg.anchor_eps * max(float(r.max()), 1.0)
         on_point = r <= anchor_eps
-        free = ~on_point
         trace.append(float(w @ r))
 
         eta = float(w[on_point].sum())
-        if not np.any(free):
+        anchored = eta > 0.0
+        if not anchored:
+            # no row to mask out: use the buffers as they are
+            inv_r = w / r
+            residual = inv_r @ diffs
+        elif on_point.all():
             # every curve coincides with the iterate
-            gap, anchored = 0.0, True
+            gap = 0.0
             anchor_index = int(np.argmax(on_point))
             break
-        inv_r = w[free] / r[free]
-        residual = inv_r @ diffs[free]
+        else:
+            inv_r = w[~on_point] / r[~on_point]
+            residual = inv_r @ diffs[~on_point]
         rn = float(grid.norms(residual))
 
-        anchored = eta > 0.0
         anchor_index = int(np.argmax(on_point)) if anchored else None
         gap = max(0.0, rn - eta)
         if gap <= gap_tol:
@@ -165,12 +190,14 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
             break
         iterations += 1
 
-        t_point = (inv_r @ values[free]) / inv_r.sum()
+        t_point = (inv_r @ (values[~on_point] if anchored else values)) / inv_r.sum()
         if anchored and rn > 0:
             beta = min(1.0, eta / rn)
             y = (1.0 - beta) * t_point + beta * y
         else:
             y = t_point
+    # release the buffers before the collinearity check builds its own N x D matrix
+    del diffs, sq
 
     converged = gap <= gap_tol
     return MedianFit(

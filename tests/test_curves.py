@@ -168,6 +168,17 @@ def test_pointwise_median_is_permutation_invariant():
     assert np.array_equal(pointwise_median(pop).values, pointwise_median(shuffled).values)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_unit_weight_median_selects_what_the_weighted_rule_picks(n):
+    # few distinct values, so every column has ties, signed zeros among them
+    rng = np.random.default_rng(n)
+    values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, 40))
+    pop = CurvePopulation(values, TimeGrid.uniform(40))
+    plain = pointwise_median(pop).values
+    weighted = pointwise_median(pop, weights=np.ones(n)).values
+    assert np.array_equal(plain.view(np.int64), weighted.view(np.int64))
+
+
 def test_mean_curve():
     grid = TimeGrid.uniform(2)
     pop = CurvePopulation(np.array([[1.0, 0.0], [3.0, 4.0]]), grid)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from medcurve import CurvePopulation, ParseError, TimeGrid
 from medcurve.dataio import (
@@ -15,6 +17,7 @@ from medcurve.dataio import (
     write_sample,
     write_variance,
 )
+from medcurve.dataio import _parse_bulk
 from medcurve.errors import DesignError
 
 
@@ -64,6 +67,149 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError, match="empty"):
         read_curves(path)
+
+
+def test_numeric_header_must_be_strictly_increasing(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("\nid,3,2,1\n1,0,1,2\n")
+    with pytest.raises(ParseError, match="strictly increasing") as err:
+        read_curves(path)
+    assert err.value.line == 2
+
+    path.write_text("id,1,inf\n1,0,1\n")
+    with pytest.raises(ParseError, match="finite") as err:
+        read_curves(path)
+    assert err.value.line == 1
+
+
+def test_duplicate_id_reports_its_second_line(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("id,0.5,1.5\n7,1,2\n8,3,4\n\n8,5,6\n7,7,8\n")
+    with pytest.raises(ParseError, match="duplicate unit id '8'") as err:
+        read_curves(path)
+    assert err.value.line == 5
+
+
+def test_bulk_parser_defers_what_float_decides():
+    assert np.array_equal(_parse_bulk(["1, 2.5 ,-3e2", "x,4,5"], 2), [[2.5, -300.0], [4.0, 5.0]])
+    # numpy rejects the first two although float() takes them; ragged and
+    # non-finite rows also go to the per-line parser
+    for row in ["1,1_000,2", "1,\uff11,2", "1,2,3,4", "1,2", "1,nan,2", "1,1e999,2"]:
+        assert _parse_bulk([row], 2) is None
+
+
+def test_unit_separator_is_not_whitespace(tmp_path):
+    # numpy would strip U+001F around a number; float() does not
+    path = tmp_path / "pop.csv"
+    path.write_text("id,0.5,1.5\n1,1,\x1f2\n")
+    with pytest.raises(ParseError, match="non-numeric") as err:
+        read_curves(path)
+    assert err.value.line == 2
+
+
+def read_per_line(path) -> CurvePopulation:
+    """Reference reader: every value cell through float(), one line at a time."""
+    path = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
+    if not rows:
+        raise ParseError("file is empty", path=path)
+    header_no, header = rows[0]
+    cells = [c.strip() for c in header.split(",")]
+    if len(cells) < 2 or cells[0].lower() != "id":
+        raise ParseError("header must be 'id' followed by grid columns", path=path, line=header_no)
+    d = len(cells) - 1
+    try:
+        points = [float(c) for c in cells[1:]]
+    except ValueError:
+        grid = TimeGrid.uniform(d)
+    else:
+        try:
+            grid = TimeGrid.from_points(points)
+        except ValueError as exc:
+            raise ParseError(f"invalid grid header: {exc}", path=path, line=header_no)
+    if len(rows) == 1:
+        raise ParseError("no curve rows after the header", path=path, line=header_no)
+    ids, values, first_line = [], [], {}
+    for line_no, line in rows[1:]:
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            raise ParseError(f"expected {d + 1} columns, found {len(cells)}", path=path, line=line_no)
+        row = []
+        for cell in cells[1:]:
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric value {cell.strip()!r}", path=path, line=line_no)
+            if not np.isfinite(v):
+                raise ParseError(f"non-finite value {cell.strip()!r}", path=path, line=line_no)
+            row.append(v)
+        ids.append((line_no, cells[0].strip()))
+        values.append(row)
+    for line_no, uid in ids:
+        if first_line.setdefault(uid, line_no) != line_no:
+            raise ParseError(f"duplicate unit id {uid!r}", path=path, line=line_no)
+    labels = [uid for _, uid in ids]
+    try:
+        id_array = np.array([int(i) for i in labels])
+    except ValueError:
+        id_array = np.array(labels)
+    try:
+        return CurvePopulation(np.array(values), grid, ids=id_array)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path)
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: "%.12g" % v),
+    st.integers(-(10**20), 10**20).map(str),
+)
+ODD_CELLS = st.sampled_from(
+    ["1_000", " 1.5 ", "\t-2\t", "nan", "-inf", "Infinity", "1e999", "#3", "x", "", " ",
+     "\uff11", "\u00a03", "\x1f2", "0x10", "+.5", "1e", "1j", '"2"', "-0", "\x00"]
+)
+IDS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["a", " b ", "01", "1_0", "", "\uff17"]))
+GOOD_HEADERS = [["0.5", "1.5", "2.5"], ["t1", "t2", "t3"], ["0", "0.25", "1"]]
+HEADERS = st.sampled_from(2 * GOOD_HEADERS + [["3", "2", "1"], ["0", "nan", "1"]])
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(HEADERS)
+    d = len(header)
+    # half the files hold plain numbers only, so the bulk path parses them
+    cell = NUMBERS if draw(st.booleans()) else st.one_of(NUMBERS, ODD_CELLS)
+    lines = ["id," + ",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        width = d + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 9)) == 0 else 0)
+        cells = draw(st.lists(cell, min_size=width, max_size=width))
+        lines.append(",".join([draw(IDS)] + cells))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_bulk_reader_matches_the_per_line_reader(tmp_path, text):
+    path = tmp_path / "pop.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = read_per_line(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read_curves(path)
+        assert str(err.value) == str(exc) and err.value.line == exc.line
+        return
+    got = read_curves(path)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert got.ids.dtype == want.ids.dtype and np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.grid.points, want.grid.points)
+    assert np.array_equal(got.grid.weights, want.grid.weights)
 
 
 def test_single_curve_and_variance_writers(tmp_path):

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from medcurve import Curve, CurvePopulation, TimeGrid
-from medcurve.solver import MedianFit, SolverConfig, l1_median, objective_value, score
+from medcurve.solver import (
+    MedianFit,
+    SolverConfig,
+    _collinear,
+    l1_median,
+    objective_value,
+    score,
+)
 
 
 def pop_from_rows(rows, horizon=1.0):
@@ -164,3 +171,91 @@ def test_solver_accepts_curve_sequences():
     fit = l1_median(curves, cfg=TIGHT)
     assert fit.converged
     assert np.allclose(fit.median.values, 1.0, atol=1e-9)
+
+
+def svd_collinear(values, grid):
+    """The flag computed from the full SVD, as the certificate must reproduce it."""
+    if values.shape[0] <= 2 or values.shape[1] == 1:
+        return True
+    centered = (values - values.mean(axis=0)) * np.sqrt(grid.weights)
+    s = np.linalg.svd(centered, compute_uv=False)
+    return bool(s[1] <= 1e-8 * s[0]) if s[0] > 0 else True
+
+
+def collinearity_cases():
+    rng = np.random.default_rng(71)
+    for n, d in [(1, 4), (2, 6), (3, 1), (12, 1), (5, 5), (40, 9), (200, 48)]:
+        yield rng.normal(size=(n, d))
+        line = rng.normal(size=d)
+        yield rng.normal(size=(n, 1)) * line + rng.normal(size=d)
+        for eps in 10.0 ** np.arange(-12, -3):
+            yield rng.normal(size=(n, 1)) * line + eps * rng.normal(size=(n, d))
+        yield np.tile(rng.normal(size=d), (n, 1))
+        yield np.zeros((n, d))
+    # one curve off the line of the rest, and the spread right at the threshold
+    base = np.outer(np.arange(30.0), rng.normal(size=8))
+    for off in (1e-7, 2e-8, 1.1e-8, 1e-8, 9e-9):
+        tilted = base.copy()
+        tilted[0] += off * np.linalg.norm(base) * rng.normal(size=8)
+        yield tilted
+
+
+def test_collinearity_certificate_matches_the_svd():
+    for values in collinearity_cases():
+        grid = TimeGrid.uniform(values.shape[1], horizon=2.0)
+        assert _collinear(values, grid) == svd_collinear(values, grid), values.shape
+
+
+def test_generic_populations_are_certified_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(73)
+    values = rng.normal(size=(300, 48))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the O(N D) certificate should have decided")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert not _collinear(values, TimeGrid.uniform(48))
+
+
+def masked_weiszfeld(values, grid, w, y, tol, max_iter, anchor_eps=1e-12):
+    """The iteration written with per-step masked copies of the free rows."""
+    spread = float(np.max(grid.norms(values - y)))
+    eps = anchor_eps * max(spread, 1.0)
+    for it in range(max_iter + 1):
+        diffs = values - y
+        r = grid.norms(diffs)
+        free = r > eps
+        eta = float(w[~free].sum())
+        if not np.any(free):
+            return y, 0.0
+        inv_r = w[free] / r[free]
+        rn = float(grid.norms(inv_r @ diffs[free]))
+        gap = max(0.0, rn - eta)
+        if gap <= tol * w.sum() or it == max_iter:
+            return y, gap
+        t_point = (inv_r @ values[free]) / inv_r.sum()
+        if eta > 0 and rn > 0:
+            beta = min(1.0, eta / rn)
+            y = (1.0 - beta) * t_point + beta * y
+        else:
+            y = t_point
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_buffered_iteration_is_bit_identical_to_the_masked_form(anchored):
+    rng = np.random.default_rng(79)
+    if anchored:
+        # a heavy curve pulls the iterate onto itself
+        values = rng.normal(size=(15, 6))
+        w = np.ones(15)
+        w[4] = 20.0
+    else:
+        values = rng.standard_gamma(2.0, size=(60, 10))
+        w = rng.uniform(0.5, 2.0, size=60)
+    pop = CurvePopulation(values, TimeGrid.uniform(values.shape[1]))
+    cfg = SolverConfig(tol=1e-12, init="mean")
+    fit = l1_median(pop, weights=w, cfg=cfg)
+    y, gap = masked_weiszfeld(values, pop.grid, w, values.mean(axis=0), cfg.tol, cfg.max_iter)
+    assert fit.anchored == anchored
+    assert np.array_equal(fit.median.values.view(np.int64), y.view(np.int64))
+    assert fit.residual_norm == gap
