@@ -24,19 +24,15 @@ import numpy as np
 from .curves import CurvePopulation
 from .dataio import (
     load_design,
+    load_json,
+    load_simulation_designs,
     read_curves,
     write_curve,
+    write_losses,
     write_sample,
     write_variance,
 )
-from .designs import (
-    StrataSpec,
-    draw_ppswr,
-    draw_srswor,
-    draw_stratified,
-    draw_systematic,
-    pps_weights_from_curves,
-)
+from .designs import StrataSpec, pps_weights_from_curves
 from .errors import (
     DesignError,
     EstimationError,
@@ -45,9 +41,11 @@ from .errors import (
     MedcurveError,
     ParseError,
 )
-from .estimators import ht_median, ht_weights, poststratified_median, poststratified_weights
+from .estimators import ht_median, poststratified_median
 from .linearize import linearized_variables
 from .simulate import (
+    SUITE_NAMES,
+    DesignPlan,
     SynthConfig,
     monte_carlo_compare,
     standard_design_suite,
@@ -66,24 +64,8 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_DESIGN = 4
 
-_SUITE_NAMES = (
-    "SRSWOR",
-    "SYS",
-    "STRAT-u-PROP",
-    "STRAT-u-OPTIM",
-    "STRAT-x-PROP",
-    "STRAT-x-OPTIM",
-    "POST",
-    "PPS",
-)
-
-
 class _SolverFailure(MedcurveError):
     """Internal marker: the iteration stopped without meeting the tolerance."""
-
-
-def _fmt(x: float) -> str:
-    return "%.12g" % x
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -200,14 +182,18 @@ def _pps_probabilities(pop: CurvePopulation, design: dict) -> np.ndarray:
     return sizes / sizes.sum()
 
 
-def _draw_for_design(pop: CurvePopulation, design: dict, seed: int):
-    dtype, n = design["type"], design["n"]
-    if dtype in ("srswor", "poststratified"):
-        return draw_srswor(pop.n_units, n, seed)
-    if dtype == "systematic":
-        return draw_systematic(_order_key(pop, design), n, seed)
-    if dtype == "stratified":
-        strata = _design_strata(design, pop.n_units)
+def _design_plan(pop: CurvePopulation, design: dict) -> DesignPlan:
+    """The validated design JSON resolved against the population it samples."""
+    kind, n = design["type"], design["n"]
+    fields = {}
+    if kind == "systematic":
+        fields["order_key"] = _order_key(pop, design)
+    elif kind == "ppswr":
+        fields["p"] = _pps_probabilities(pop, design)
+    elif kind == "poststratified":
+        fields["groups"] = _design_strata(design, pop.n_units)
+    elif kind == "stratified":
+        strata = fields["strata"] = _design_strata(design, pop.n_units)
         alloc = design.get("allocation")
         if alloc is None:
             alloc = proportional_allocation(strata.sizes, n).counts
@@ -217,10 +203,8 @@ def _draw_for_design(pop: CurvePopulation, design: dict, seed: int):
                 raise DesignError(
                     f"'allocation' must give {strata.n_strata} counts summing to {n}"
                 )
-        return draw_stratified(strata, alloc, seed)
-    if dtype == "ppswr":
-        return draw_ppswr(_pps_probabilities(pop, design), n, seed)
-    raise DesignError(f"unknown design type {dtype!r}")
+        fields["alloc"] = alloc
+    return DesignPlan(name=kind, kind=kind, n=n, **fields)
 
 
 def cmd_estimate(args) -> int:
@@ -231,14 +215,14 @@ def cmd_estimate(args) -> int:
         raise ParseError("estimation draws a sample; pass --seed (or a 'seed' in the design)")
     cfg = _solver_config(args)
 
-    draw = _draw_for_design(pop, design, seed)
-    if design["type"] == "poststratified":
-        groups = _design_strata(design, pop.n_units)
-        sample = poststratified_weights(draw, groups)
-        fit = poststratified_median(draw, pop, groups, cfg=cfg)
+    plan = _design_plan(pop, design)
+    draw = plan.draw(pop.n_units, seed)
+    sample = plan.weights(draw)
+    # called by name, not through plan.estimate: perfbench's traced mode
+    # patches cli.ht_median to capture the fit its replay must reproduce
+    if plan.kind == "poststratified":
+        fit = poststratified_median(draw, pop, plan.groups, cfg=cfg)
     else:
-        groups = None
-        sample = ht_weights(draw)
         fit = ht_median(draw, pop, cfg=cfg)
 
     ids = np.asarray(pop.ids)[draw.units]
@@ -259,10 +243,10 @@ def cmd_estimate(args) -> int:
             "a sampled curve coincides with the fitted median; the variance "
             "formula is undefined for this draw"
         )
-    if design["type"] == "ppswr":
+    if plan.kind == "ppswr":
         var = hansen_hurwitz_variance(draw, u_hat)
-    elif design["type"] == "poststratified":
-        var = poststratified_variance_estimate(draw, u_hat, groups.labels, groups.sizes)
+    elif plan.kind == "poststratified":
+        var = poststratified_variance_estimate(draw, u_hat, plan.groups.labels, plan.groups.sizes)
     else:
         var = variance_estimate(draw, u_hat)
     write_variance(_out_path(args, "variance.csv"), pop.grid, var.values)
@@ -287,13 +271,7 @@ _SYNTH_FIELDS = (
 
 
 def _load_synth_config(path: str) -> SynthConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise ParseError("synthetic config must be a JSON object", path=path)
     extra = set(raw) - set(_SYNTH_FIELDS)
@@ -305,45 +283,6 @@ def _load_synth_config(path: str) -> SynthConfig:
         return SynthConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad synthetic config: {exc}", path=path) from exc
-
-
-def _load_simulation_designs(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
-    if not isinstance(raw, dict) or "n" not in raw:
-        raise ParseError("simulation designs file must be a JSON object with 'n'", path=path)
-    extra = set(raw) - {"n", "n_strata", "include"}
-    if extra:
-        raise ParseError(f"unknown simulation design field(s) {sorted(extra)}", path=path)
-    n = raw["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError("simulation 'n' must be a positive integer", path=path)
-    include = raw.get("include", list(_SUITE_NAMES))
-    unknown = [name for name in include if name not in _SUITE_NAMES]
-    if unknown:
-        raise ParseError(
-            f"unknown design name(s) {unknown}; pick from {list(_SUITE_NAMES)}", path=path
-        )
-    if not include:
-        raise ParseError("simulation 'include' must not be empty", path=path)
-    return {"n": n, "n_strata": raw.get("n_strata"), "include": list(include)}
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("MEDCURVE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"MEDCURVE_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def cmd_simulate(args) -> int:
@@ -362,36 +301,19 @@ def cmd_simulate(args) -> int:
     else:
         raise ParseError("--input takes one synthetic config or an aux/study CSV pair")
 
-    spec = _load_simulation_designs(args.design)
+    spec = load_simulation_designs(args.design, SUITE_NAMES)
     n_strata = spec["n_strata"] if spec["n_strata"] is not None else args.H
     cfg = _solver_config(args)
     plans = standard_design_suite(aux, n=spec["n"], n_strata=n_strata, seed=seed, solver_cfg=None)
     plans = [p for p in plans if p.name in spec["include"]]
 
-    report = monte_carlo_compare(
-        study,
-        plans,
-        replicates=args.reps,
-        seed=seed,
-        solver_cfg=cfg,
-        threads=_resolve_threads(args),
-    )
+    report = monte_carlo_compare(study, plans, replicates=args.reps, seed=seed, solver_cfg=cfg)
 
     payload = report.summary()
     payload["seed"] = seed
     payload["n"] = spec["n"]
     _write_json(_out_path(args, "report.json"), payload)
-
-    with open(_out_path(args, "losses.csv"), "w", encoding="utf-8") as fh:
-        fh.write("design,replicate,loss,variance_loss\n")
-        for outcome in report.outcomes:
-            for r in range(report.replicates):
-                loss = _fmt(outcome.losses[r])
-                if outcome.variance_losses is None:
-                    vloss = ""
-                else:
-                    vloss = _fmt(outcome.variance_losses[r])
-                fh.write(f"{outcome.name},{r},{loss},{vloss}\n")
+    write_losses(_out_path(args, "losses.csv"), report)
     return EXIT_OK
 
 
@@ -478,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim, input_nargs="+")
     p_sim.add_argument("--design", required=True, help="simulation designs JSON")
     p_sim.add_argument("--reps", type=int, default=100, help="Monte Carlo replicates")
-    p_sim.add_argument("--threads", type=int, default=None, help="replicate pool size")
     p_sim.add_argument("--H", type=int, default=4, help="strata count for the design suite")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -29,6 +29,8 @@ __all__ = [
     "lower_median",
     "mean_curve",
     "as_matrix",
+    "as_vector",
+    "values_on_grid",
 ]
 
 _SUM_RTOL = 1e-12
@@ -260,7 +262,22 @@ def norm(a: Curve) -> float:
     return float(a.grid.norms(a.values))
 
 
+def as_vector(y) -> np.ndarray:
+    """Value vector of a Curve, or a plain array as floats."""
+    return y.values if isinstance(y, Curve) else np.asarray(y, dtype=float)
+
+
+def values_on_grid(z, grid: TimeGrid | None = None) -> tuple[np.ndarray, TimeGrid]:
+    """(values, grid) of anything carrying both, or of a plain array on an explicit grid."""
+    if hasattr(z, "values") and hasattr(z, "grid"):
+        return np.asarray(z.values, dtype=float), z.grid
+    if grid is None:
+        raise ValueError("grid is required when the values are a plain array")
+    return np.asarray(z, dtype=float), grid
+
+
 def _positive_weights(weights, n: int) -> np.ndarray:
+    """Unit weights when None, else a length-n vector of positive finite floats."""
     if weights is None:
         return np.ones(n)
     w = np.asarray(weights, dtype=float)

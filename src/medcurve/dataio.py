@@ -27,17 +27,18 @@ __all__ = [
     "write_curve",
     "write_variance",
     "write_sample",
+    "write_losses",
+    "load_json",
     "load_design",
+    "load_simulation_designs",
     "validate_design",
 ]
-
-_FMT = "%.12g"
 
 DESIGN_TYPES = ("srswor", "systematic", "stratified", "ppswr", "poststratified")
 
 
 def _fmt(x: float) -> str:
-    return _FMT % x
+    return "%.12g" % x
 
 
 def read_curves(path: str | os.PathLike) -> CurvePopulation:
@@ -81,19 +82,23 @@ def read_curves(path: str | os.PathLike) -> CurvePopulation:
     values = _parse_bulk([line for _, line in body], d) if bulk_ok else None
     if values is None:
         values = _parse_rows(body, d, path)
-    ids = [line.partition(",")[0].strip() for _, line in body]
-    seen: set[str] = set()
-    for (line_no, _), uid in zip(body, ids):
-        if uid in seen:
-            raise ParseError(f"duplicate unit id {uid!r}", path=path, line=line_no)
-        seen.add(uid)
-    id_array: np.ndarray
+    labels = [line.partition(",")[0].strip() for _, line in body]
     try:
-        id_array = np.array([int(i) for i in ids])
+        ids = [int(label) for label in labels]
     except ValueError:
-        id_array = np.array(ids)
+        ids = labels
+    # compare the ids the population keeps: '1' and '01' are one integer id
+    first: dict = {}
+    for (line_no, _), uid, label in zip(body, ids, labels):
+        if uid in first:
+            raise ParseError(
+                f"duplicate unit id {label!r}, first seen on line {first[uid]}",
+                path=path,
+                line=line_no,
+            )
+        first[uid] = line_no
     try:
-        return CurvePopulation(values, grid, ids=id_array)
+        return CurvePopulation(values, grid, ids=np.array(ids))
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 
@@ -166,24 +171,39 @@ def write_sample(path: str | os.PathLike, ids, pi, weights) -> None:
             fh.write(f"{uid},{_fmt(p)},{_fmt(w)}\n")
 
 
+def write_losses(path: str | os.PathLike, report) -> None:
+    """Write a Monte Carlo report's per-replicate losses, one row per design and replicate."""
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        fh.write("design,replicate,loss,variance_loss\n")
+        for outcome in report.outcomes:
+            for r in range(report.replicates):
+                loss = _fmt(outcome.losses[r])
+                vloss = "" if outcome.variance_losses is None else _fmt(outcome.variance_losses[r])
+                fh.write(f"{outcome.name},{r},{loss},{vloss}\n")
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def validate_design(design: dict[str, Any]) -> dict[str, Any]:
     """Check a design description and return it with defaults filled in.
 
     Required keys: type (one of srswor, systematic, stratified, ppswr,
     poststratified) and n (positive integer). Optional: seed, strata
     (list of per-unit labels, stratified/poststratified only),
-    order_key_column (systematic only), p_source (ppswr only).
+    order_key_column (systematic only), p_source (ppswr only: "mean" or a
+    list of per-unit sizes).
     """
     if not isinstance(design, dict):
         raise DesignError("design description must be a JSON object")
     dtype = design.get("type")
     if dtype not in DESIGN_TYPES:
         raise DesignError(f"unknown design type {dtype!r}; expected one of {DESIGN_TYPES}")
-    n = design.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(design.get("n"), 1):
         raise DesignError("design 'n' must be a positive integer")
     seed = design.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+    if seed is not None and not _is_int(seed, 0):
         raise DesignError("design 'seed' must be a non-negative integer")
     allowed = {"type", "n", "seed"}
     if dtype in ("stratified", "poststratified"):
@@ -195,8 +215,7 @@ def validate_design(design: dict[str, Any]) -> dict[str, Any]:
             allowed.add("allocation")
             alloc = design.get("allocation")
             if alloc is not None and (
-                not isinstance(alloc, list)
-                or not all(isinstance(a, int) and not isinstance(a, bool) and a >= 1 for a in alloc)
+                not isinstance(alloc, list) or not all(_is_int(a, 1) for a in alloc)
             ):
                 raise DesignError("design 'allocation' must be a list of positive integers")
     if dtype == "systematic":
@@ -207,21 +226,53 @@ def validate_design(design: dict[str, Any]) -> dict[str, Any]:
     if dtype == "ppswr":
         allowed.add("p_source")
         src = design.get("p_source")
-        if src is not None and not isinstance(src, (str, list)):
-            raise DesignError("design 'p_source' must be a string or a list of per-unit sizes")
+        if src is not None and src != "mean" and not (
+            isinstance(src, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in src)
+        ):
+            raise DesignError("design 'p_source' must be \"mean\" or a list of per-unit sizes")
     extra = set(design) - allowed
     if extra:
         raise DesignError(f"unexpected design field(s) {sorted(extra)} for type {dtype!r}")
     return dict(design)
 
 
-def load_design(path: str | os.PathLike) -> dict[str, Any]:
+def load_json(path: str | os.PathLike) -> Any:
+    """Parse a JSON file; an unreadable file or invalid JSON raises ParseError."""
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            design = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
-    return validate_design(design)
+
+
+def load_design(path: str | os.PathLike) -> dict[str, Any]:
+    return validate_design(load_json(path))
+
+
+def load_simulation_designs(path: str | os.PathLike, names) -> dict[str, Any]:
+    """Read simulate's designs file: n, n_strata (None if absent) and names to include."""
+    path = os.fspath(path)
+    raw = load_json(path)
+    if not isinstance(raw, dict) or "n" not in raw:
+        raise ParseError("simulation designs file must be a JSON object with 'n'", path=path)
+    extra = set(raw) - {"n", "n_strata", "include"}
+    if extra:
+        raise ParseError(f"unknown simulation design field(s) {sorted(extra)}", path=path)
+    n, n_strata = raw["n"], raw.get("n_strata")
+    if not _is_int(n, 1):
+        raise ParseError("simulation 'n' must be a positive integer", path=path)
+    if n_strata is not None and not _is_int(n_strata, 2):
+        raise ParseError("simulation 'n_strata' must be an integer of at least 2", path=path)
+    include = raw.get("include", list(names))
+    if not isinstance(include, list) or not all(isinstance(name, str) for name in include):
+        raise ParseError("simulation 'include' must be a list of design names", path=path)
+    unknown = [name for name in include if name not in names]
+    if unknown:
+        raise ParseError(f"unknown design name(s) {unknown}; pick from {list(names)}", path=path)
+    if not include:
+        raise ParseError("simulation 'include' must not be empty", path=path)
+    return {"n": n, "n_strata": n_strata, "include": include}

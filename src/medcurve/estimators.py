@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurvePopulation
+from .curves import CurvePopulation, _positive_weights
 from .designs import SampleDraw, StrataSpec
 from .errors import EstimationError
 from .solver import MedianFit, SolverConfig, l1_median
@@ -27,6 +27,7 @@ __all__ = [
     "poststratified_weights",
     "ht_median",
     "poststratified_median",
+    "weighted_median",
 ]
 
 
@@ -34,27 +35,20 @@ __all__ = [
 class WeightedSample:
     """Sampled units with estimation weights.
 
-    provenance is "HT" (weights exactly 1/pi_k) or "poststratified"
-    (weights N_g / (Nhat_g pi_k) with Nhat_g the HT estimate of the group
-    size, so each group's weights sum to N_g).
+    The weights are exactly 1/pi_k (Horvitz-Thompson), or N_g / (Nhat_g
+    pi_k) when poststratified, with Nhat_g the HT estimate of the group
+    size, so each group's weights sum to N_g.
     """
 
     units: np.ndarray
     weights: np.ndarray
-    provenance: str
-    design: dict
 
     def __post_init__(self):
-        if self.provenance not in ("HT", "poststratified"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if np.any(self.weights <= 0) or np.any(~np.isfinite(self.weights)):
-            raise ValueError("weights must be positive and finite")
+        _positive_weights(self.weights, self.units.size)
 
 
 def ht_weights(draw: SampleDraw) -> WeightedSample:
-    return WeightedSample(
-        units=draw.units, weights=draw.weights, provenance="HT", design=draw.design
-    )
+    return WeightedSample(units=draw.units, weights=draw.weights)
 
 
 def poststratified_weights(draw: SampleDraw, groups: StrataSpec) -> WeightedSample:
@@ -77,12 +71,18 @@ def poststratified_weights(draw: SampleDraw, groups: StrataSpec) -> WeightedSamp
             "groups before poststratifying"
         )
     w = d * (sizes[labels] / nhat[labels])
-    return WeightedSample(
-        units=draw.units, weights=w, provenance="poststratified", design=draw.design
-    )
+    return WeightedSample(units=draw.units, weights=w)
 
 
-def _solve(pop: CurvePopulation, sample: WeightedSample, cfg: SolverConfig | None) -> MedianFit:
+def weighted_median(
+    draw: SampleDraw, pop: CurvePopulation, sample: WeightedSample, cfg: SolverConfig | None
+) -> MedianFit:
+    """L1-median of the drawn curves of pop under the sample's weights."""
+    if draw.design["N"] != pop.n_units:
+        raise EstimationError(
+            f"draw comes from a frame of {draw.design['N']} units "
+            f"but the population has {pop.n_units}"
+        )
     sub = pop.subset(sample.units)
     return l1_median(sub, weights=sample.weights, cfg=cfg)
 
@@ -91,12 +91,7 @@ def ht_median(
     draw: SampleDraw, pop: CurvePopulation, cfg: SolverConfig | None = None
 ) -> MedianFit:
     """Weighted sample median with weights 1/pi_k (distinct units for PPS)."""
-    if draw.design["N"] != pop.n_units:
-        raise EstimationError(
-            f"draw comes from a frame of {draw.design['N']} units "
-            f"but the population has {pop.n_units}"
-        )
-    return _solve(pop, ht_weights(draw), cfg)
+    return weighted_median(draw, pop, ht_weights(draw), cfg)
 
 
 def poststratified_median(
@@ -106,9 +101,4 @@ def poststratified_median(
     cfg: SolverConfig | None = None,
 ) -> MedianFit:
     """Weighted sample median with group-calibrated weights."""
-    if draw.design["N"] != pop.n_units:
-        raise EstimationError(
-            f"draw comes from a frame of {draw.design['N']} units "
-            f"but the population has {pop.n_units}"
-        )
-    return _solve(pop, poststratified_weights(draw, groups), cfg)
+    return weighted_median(draw, pop, poststratified_weights(draw, groups), cfg)

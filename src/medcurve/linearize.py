@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, TimeGrid, as_matrix
+from .curves import Curve, TimeGrid, _positive_weights, as_matrix, as_vector
 from .errors import LinearizationError
+from .solver import point_offsets
 
 __all__ = ["GammaMatrix", "LinearizedSet", "gamma_matrix", "linearized_variables"]
 
@@ -62,13 +63,11 @@ class GammaMatrix:
     _sqrt_q: np.ndarray
 
     def apply(self, y) -> np.ndarray:
-        vec = y.values if isinstance(y, Curve) else np.asarray(y, dtype=float)
-        return vec @ self.matrix.T
+        return as_vector(y) @ self.matrix.T
 
     def solve(self, b) -> np.ndarray:
         """Solve G u = b; b may be a vector or a stack of rows."""
-        vec = b.values if isinstance(b, Curve) else np.asarray(b, dtype=float)
-        scaled = np.linalg.solve(self._sym, (vec * self._sqrt_q).T).T
+        scaled = np.linalg.solve(self._sym, (as_vector(b) * self._sqrt_q).T).T
         return scaled / self._sqrt_q
 
     def symmetrized(self) -> np.ndarray:
@@ -96,14 +95,6 @@ class LinearizedSet:
         return Curve(self.values[i], self.grid)
 
 
-def _directions(values, grid: TimeGrid, point, anchor_eps: float):
-    diffs = values - point
-    r = grid.norms(diffs)
-    spread = float(r.max()) if r.size else 0.0
-    on_point = r <= anchor_eps * max(spread, 1.0)
-    return diffs, r, on_point
-
-
 def gamma_matrix(
     curves,
     at: Curve | np.ndarray,
@@ -117,21 +108,19 @@ def gamma_matrix(
     cross-check on each other: "integral" builds the kernel matrix gam in
     one shot, "tensor" accumulates per-unit rank-one updates.
     """
+    return _gamma_and_directions(curves, at, weights, form, anchor_eps)[0]
+
+
+def _gamma_and_directions(curves, at, weights, form, anchor_eps):
+    """The operator, plus the unit directions e_k of the retained curves it was built from."""
     values, grid = as_matrix(curves)
-    n, d = values.shape
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"expected {n} weights, got shape {w.shape}")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be positive and finite")
-    point = at.values if isinstance(at, Curve) else np.asarray(at, dtype=float)
+    d = values.shape[1]
+    w = _positive_weights(weights, values.shape[0])
+    point = as_vector(at)
     if point.shape != (d,):
         raise ValueError("expansion point length does not match the grid")
 
-    diffs, r, on_point = _directions(values, grid, point, anchor_eps)
+    diffs, r, on_point = point_offsets(values, grid, point, anchor_eps)
     excluded = tuple(int(i) for i in np.flatnonzero(on_point))
     keep = ~on_point
     if not np.any(keep):
@@ -140,7 +129,7 @@ def gamma_matrix(
         warnings.warn(
             f"{len(excluded)} curve(s) coincide with the expansion point "
             "and are excluded from the linearization",
-            stacklevel=2,
+            stacklevel=3,
         )
     e = diffs[keep] / r[keep][:, None]
     wr = w[keep] / r[keep]
@@ -175,7 +164,7 @@ def gamma_matrix(
                 "derivative operator is numerically singular even after ridging",
                 condition=condition,
             )
-    return GammaMatrix(
+    gamma = GammaMatrix(
         matrix=a,
         grid=grid,
         at=point.copy(),
@@ -185,6 +174,7 @@ def gamma_matrix(
         _sym=sym,
         _sqrt_q=sqrt_q,
     )
+    return gamma, e, keep
 
 
 def linearized_variables(
@@ -200,16 +190,10 @@ def linearized_variables(
     (the estimating equation pushed through G^{-1}). For a design-based
     expansion pass the sampled curves with their sampling weights.
     """
-    gamma = gamma_matrix(curves, at, weights=weights, form=form, anchor_eps=anchor_eps)
-    values, grid = as_matrix(curves)
-    keep = np.ones(values.shape[0], dtype=bool)
-    keep[list(gamma.excluded)] = False
-    diffs = values[keep] - gamma.at
-    e = diffs / grid.norms(diffs)[:, None]
-    u = gamma.solve(e)
+    gamma, e, keep = _gamma_and_directions(curves, at, weights, form, anchor_eps)
     return LinearizedSet(
-        values=u,
+        values=gamma.solve(e),
         units=np.flatnonzero(keep),
-        grid=grid,
+        grid=gamma.grid,
         gamma=gamma,
     )

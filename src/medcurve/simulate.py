@@ -18,12 +18,11 @@ integrated absolute loss against the full-population median; designs with
 closed-form variance estimators also get a per-replicate loss between the
 estimated and asymptotic variance functions. Seeds derive from the master
 seed by design index then replicate index, so reports are reproducible
-and independent of execution order or thread count.
+and independent of execution order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,7 +40,7 @@ from .designs import (
     pps_weights_from_curves,
 )
 from .errors import EstimationError, GridMismatchError, MedcurveError
-from .estimators import ht_median, poststratified_median
+from .estimators import WeightedSample, ht_weights, poststratified_weights, weighted_median
 from .linearize import linearized_variables
 from .solver import MedianFit, SolverConfig, l1_median
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
@@ -55,6 +54,7 @@ __all__ = [
     "loss_r_median",
     "loss_r_variance",
     "DesignPlan",
+    "SUITE_NAMES",
     "standard_design_suite",
     "DesignOutcome",
     "MonteCarloReport",
@@ -179,16 +179,15 @@ def concat_weeks(*pops: CurvePopulation) -> CurvePopulation:
     return CurvePopulation(values, grid, ids=pops[0].ids)
 
 
-def _pointwise_abs(a, b) -> np.ndarray:
-    if isinstance(a, Curve) and isinstance(b, Curve):
-        if not a.grid.matches(b.grid):
-            raise GridMismatchError("losses need a shared grid")
-        return np.abs(a.values - b.values)
-    if isinstance(a, VarianceFunction) and isinstance(b, VarianceFunction):
-        if not a.grid.matches(b.grid):
-            raise GridMismatchError("losses need a shared grid")
-        return np.abs(a.values - b.values)
-    raise TypeError("loss arguments must both be Curves or both VarianceFunctions")
+def _integrated_abs_error(estimate, truth, quadrature: bool) -> float:
+    if not (isinstance(estimate, (Curve, VarianceFunction)) and type(truth) is type(estimate)):
+        raise TypeError("loss arguments must both be Curves or both VarianceFunctions")
+    if not estimate.grid.matches(truth.grid):
+        raise GridMismatchError("losses need a shared grid")
+    diff = np.abs(estimate.values - truth.values)
+    if quadrature:
+        return float(estimate.grid.integrate(diff))
+    return float(diff.mean())
 
 
 def loss_r_median(estimate: Curve, truth: Curve, quadrature: bool = False) -> float:
@@ -197,19 +196,14 @@ def loss_r_median(estimate: Curve, truth: Curve, quadrature: bool = False) -> fl
     quadrature=True integrates with the grid weights instead; the two
     agree on uniform unit-horizon grids.
     """
-    diff = _pointwise_abs(estimate, truth)
-    if quadrature:
-        return float(estimate.grid.integrate(diff))
-    return float(diff.mean())
+    return _integrated_abs_error(estimate, truth, quadrature)
 
 
 def loss_r_variance(
     estimate: VarianceFunction, truth: VarianceFunction, quadrature: bool = False
 ) -> float:
-    diff = _pointwise_abs(estimate, truth)
-    if quadrature:
-        return float(estimate.grid.integrate(diff))
-    return float(diff.mean())
+    """The loss_r_median rule applied to variance functions."""
+    return _integrated_abs_error(estimate, truth, quadrature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +235,16 @@ class DesignPlan:
             return draw_ppswr(self.p, self.n, seed)
         raise ValueError(f"unknown plan kind {self.kind!r}")
 
+    def weights(self, draw: SampleDraw) -> WeightedSample:
+        """Estimation weights: group-calibrated when poststratified, else 1/pi_k."""
+        if self.kind == "poststratified":
+            return poststratified_weights(draw, self.groups)
+        return ht_weights(draw)
+
     def estimate(
         self, draw: SampleDraw, pop: CurvePopulation, cfg: SolverConfig | None
     ) -> MedianFit:
-        if self.kind == "poststratified":
-            return poststratified_median(draw, pop, self.groups, cfg=cfg)
-        return ht_median(draw, pop, cfg=cfg)
+        return weighted_median(draw, pop, self.weights(draw), cfg)
 
     def population_design(self, n_population: int) -> dict[str, Any] | None:
         """Design dict for the asymptotic variance, when a closed form exists."""
@@ -262,6 +260,18 @@ class DesignPlan:
                 "sizes": self.strata.sizes,
             }
         return None
+
+
+SUITE_NAMES = (
+    "SRSWOR",
+    "SYS",
+    "STRAT-u-PROP",
+    "STRAT-u-OPTIM",
+    "STRAT-x-PROP",
+    "STRAT-x-OPTIM",
+    "POST",
+    "PPS",
+)
 
 
 def standard_design_suite(
@@ -291,43 +301,20 @@ def standard_design_suite(
     u_strata = kmeans_strata(u_pop, n_strata, seed=as_seed(seed).spawn(1)[0])
     x_strata = quartile_strata(aux.values.max(axis=1), n_strata)
 
-    plans = [
-        DesignPlan(name="SRSWOR", kind="srswor", n=n),
-        DesignPlan(
-            name="SYS", kind="systematic", n=n, order_key=aux.values.mean(axis=1)
-        ),
-        DesignPlan(
-            name="STRAT-u-PROP",
-            kind="stratified",
-            n=n,
-            strata=u_strata,
-            alloc=proportional_allocation(u_strata.sizes, n).counts,
-        ),
-        DesignPlan(
-            name="STRAT-u-OPTIM",
-            kind="stratified",
-            n=n,
-            strata=u_strata,
-            alloc=optimal_allocation(u_strata, u1, n, rule="u-OPTIM").counts,
-        ),
-        DesignPlan(
-            name="STRAT-x-PROP",
-            kind="stratified",
-            n=n,
-            strata=x_strata,
-            alloc=proportional_allocation(x_strata.sizes, n).counts,
-        ),
-        DesignPlan(
-            name="STRAT-x-OPTIM",
-            kind="stratified",
-            n=n,
-            strata=x_strata,
-            alloc=optimal_allocation(x_strata, aux, n, rule="x-OPTIM").counts,
-        ),
-        DesignPlan(name="POST", kind="poststratified", n=n, groups=u_strata),
-        DesignPlan(name="PPS", kind="ppswr", n=n, p=pps_weights_from_curves(aux)),
+    stratified = [
+        (u_strata, proportional_allocation(u_strata.sizes, n)),
+        (u_strata, optimal_allocation(u_strata, u1, n, rule="u-OPTIM")),
+        (x_strata, proportional_allocation(x_strata.sizes, n)),
+        (x_strata, optimal_allocation(x_strata, aux, n, rule="x-OPTIM")),
     ]
-    return plans
+    fields = [  # in SUITE_NAMES order
+        dict(kind="srswor"),
+        dict(kind="systematic", order_key=aux.values.mean(axis=1)),
+        *(dict(kind="stratified", strata=h, alloc=a.counts) for h, a in stratified),
+        dict(kind="poststratified", groups=u_strata),
+        dict(kind="ppswr", p=pps_weights_from_curves(aux)),
+    ]
+    return [DesignPlan(name=name, n=n, **f) for name, f in zip(SUITE_NAMES, fields)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,21 +365,17 @@ def monte_carlo_compare(
     replicates: int,
     seed,
     solver_cfg: SolverConfig | None = None,
-    threads: int = 1,
     truth_tol: float = 1e-10,
 ) -> MonteCarloReport:
-    """Replay each plan against the study population.
+    """Replay each plan against the study population, one replicate at a time.
 
     Per replicate r of plan d the draw seed is the master seed spawned at
-    (d, r), so results are identical for any thread count. Replicate
-    failures (non-convergence, estimator errors) are recorded as NaN
-    losses and counted, never raised.
+    (d, r), so a replicate's result does not depend on how many replicates
+    run or in what order. Replicate failures (non-convergence, estimator
+    errors) are recorded as NaN losses and counted, never raised.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    threads = 1 if threads is None else int(threads)
-    if threads < 1:
-        raise ValueError("thread count must be positive")
     plans = list(plans)
     cfg = solver_cfg or SolverConfig()
     truth_fit = l1_median(study, cfg=SolverConfig(tol=truth_tol, max_iter=2000, init=cfg.init))
@@ -425,43 +408,30 @@ def monte_carlo_compare(
     est_fail = np.zeros(len(plans), dtype=int)
     var_fail = np.zeros(len(plans), dtype=int)
 
-    def run(d: int, r: int):
-        plan = plans[d]
-        try:
-            draw = plan.draw(study.n_units, rep_seeds[d][r])
-            fit = plan.estimate(draw, study, cfg)
-            if not fit.converged:
-                return d, r, np.nan, np.nan, True, False
-            loss = loss_r_median(fit.median, truth)
-        except MedcurveError:
-            return d, r, np.nan, np.nan, True, False
-        if var_truths[d] is None:
-            return d, r, loss, np.nan, False, False
-        try:
-            sub = study.subset(draw.units)
-            u_hat = linearized_variables(sub, fit.median, weights=draw.weights)
-            if u_hat.values.shape[0] != draw.n_units:
-                return d, r, loss, np.nan, False, True
-            v_hat = variance_estimate(draw, u_hat)
-            v_loss = loss_r_variance(v_hat, var_truths[d])
-        except MedcurveError:
-            return d, r, loss, np.nan, False, True
-        return d, r, loss, v_loss, False, False
-
-    tasks = [(d, r) for d in range(len(plans)) for r in range(replicates)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda dr: run(*dr), tasks))
-    else:
-        results = [run(d, r) for d, r in tasks]
-
-    for d, r, loss, v_loss, e_failed, v_failed in results:
-        losses[d, r] = loss
-        var_losses[d, r] = v_loss
-        if e_failed:
-            est_fail[d] += 1
-        if v_failed:
-            var_fail[d] += 1
+    for d, plan in enumerate(plans):
+        for r in range(replicates):
+            try:
+                draw = plan.draw(study.n_units, rep_seeds[d][r])
+                fit = plan.estimate(draw, study, cfg)
+                if not fit.converged:
+                    est_fail[d] += 1
+                    continue
+                losses[d, r] = loss_r_median(fit.median, truth)
+            except MedcurveError:
+                est_fail[d] += 1
+                continue
+            if var_truths[d] is None:
+                continue
+            try:
+                sub = study.subset(draw.units)
+                u_hat = linearized_variables(sub, fit.median, weights=draw.weights)
+                if u_hat.values.shape[0] != draw.n_units:
+                    var_fail[d] += 1
+                    continue
+                v_hat = variance_estimate(draw, u_hat)
+                var_losses[d, r] = loss_r_variance(v_hat, var_truths[d])
+            except MedcurveError:
+                var_fail[d] += 1
 
     outcomes = []
     for d, plan in enumerate(plans):

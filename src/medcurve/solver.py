@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Curve, as_matrix, lower_median
+from .curves import Curve, _positive_weights, as_matrix, as_vector, lower_median
 
 __all__ = ["SolverConfig", "MedianFit", "l1_median", "objective_value", "score"]
 
@@ -80,16 +80,19 @@ class MedianFit:
 
 def _prepare(curves, weights):
     values, grid = as_matrix(curves)
-    n = values.shape[0]
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"expected {n} weights, got shape {w.shape}")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be positive and finite")
-    return values, grid, w
+    return values, grid, _positive_weights(weights, values.shape[0])
+
+
+def _anchor_radius(r: np.ndarray, anchor_eps: float) -> float:
+    """Distance below which a curve coincides with the point, relative to the data spread."""
+    return anchor_eps * max(float(r.max()) if r.size else 0.0, 1.0)
+
+
+def point_offsets(values: np.ndarray, grid, point: np.ndarray, anchor_eps: float):
+    """Differences Y_k - point, their grid norms, and which curves coincide with point."""
+    diffs = values - point
+    r = grid.norms(diffs)
+    return diffs, r, r <= _anchor_radius(r, anchor_eps)
 
 
 def _initial_point(values, grid, init) -> np.ndarray:
@@ -162,7 +165,7 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
         np.subtract(values, y, out=diffs)
         r = np.sqrt(np.square(diffs, out=sq) @ grid.weights)
         if it == 0:
-            anchor_eps = cfg.anchor_eps * max(float(r.max()), 1.0)
+            anchor_eps = _anchor_radius(r, cfg.anchor_eps)
         on_point = r <= anchor_eps
         trace.append(float(w @ r))
 
@@ -215,8 +218,7 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
 def objective_value(curves, y: Curve | np.ndarray, weights=None) -> float:
     """The criterion sum_k w_k ||Y_k - y|| at a candidate point."""
     values, grid, w = _prepare(curves, weights)
-    point = y.values if isinstance(y, Curve) else np.asarray(y, dtype=float)
-    return float(w @ grid.norms(values - point))
+    return float(w @ grid.norms(values - as_vector(y)))
 
 
 def score(curves, y: Curve | np.ndarray, weights=None, anchor_eps: float = 1e-12) -> Curve:
@@ -226,11 +228,7 @@ def score(curves, y: Curve | np.ndarray, weights=None, anchor_eps: float = 1e-12
     spread) contribute nothing; a warning notes how many were skipped.
     """
     values, grid, w = _prepare(curves, weights)
-    point = y.values if isinstance(y, Curve) else np.asarray(y, dtype=float)
-    diffs = values - point
-    r = grid.norms(diffs)
-    spread = float(r.max()) if r.size else 0.0
-    on_point = r <= anchor_eps * max(spread, 1.0)
+    diffs, r, on_point = point_offsets(values, grid, as_vector(y), anchor_eps)
     if np.any(on_point):
         warnings.warn(
             f"{int(on_point.sum())} curve(s) coincide with the evaluation point "

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TimeGrid, as_matrix
-from .designs import StrataSpec
+from .curves import TimeGrid, as_matrix, values_on_grid
+from .designs import StrataSpec, as_seed
 from .errors import DesignError
 
 __all__ = [
@@ -120,7 +120,7 @@ def optimal_allocation(
     are capped with the surplus redistributed. If every within-stratum
     variance is zero the allocation falls back to proportional, flagged.
     """
-    values, grid = _z_values(z, grid)
+    values, grid = values_on_grid(z, grid)
     sizes = strata.sizes
     if values.shape[0] != strata.n_units:
         raise DesignError("allocation variable must cover every unit")
@@ -166,14 +166,6 @@ def optimal_allocation(
     return Allocation(counts=counts, rule=rule, n=n, repaired=repaired)
 
 
-def _z_values(z, grid):
-    if hasattr(z, "values") and hasattr(z, "grid"):
-        return np.asarray(z.values, dtype=float), z.grid
-    if grid is None:
-        raise ValueError("grid is required when z is a plain array")
-    return np.asarray(z, dtype=float), grid
-
-
 def quartile_strata(summary, n_strata: int = 4) -> StrataSpec:
     """Equal-size strata along a sorted scalar summary.
 
@@ -210,8 +202,6 @@ def kmeans_strata(
     canonicalized by first occurrence, so the result is reproducible and
     independent of internal centroid order.
     """
-    from .designs import as_seed
-
     values, grid = as_matrix(curves)
     n = values.shape[0]
     if n_strata < 2:

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TimeGrid
+from .curves import TimeGrid, values_on_grid
 from .designs import SampleDraw
 from .errors import DesignError, EstimationError
-from .linearize import LinearizedSet
 
 __all__ = [
     "VarianceFunction",
@@ -82,14 +81,6 @@ class VarianceFunction:
         return self.grid.integrate(self.values)
 
 
-def _u_values(u, grid: TimeGrid | None):
-    if isinstance(u, LinearizedSet):
-        return u.values, u.grid
-    if grid is None:
-        raise ValueError("grid is required when u is a plain array")
-    return np.asarray(u, dtype=float), grid
-
-
 def _s2(values: np.ndarray) -> np.ndarray:
     """Column-wise variance with the N-1 denominator; zero for a single row."""
     if values.shape[0] < 2:
@@ -113,7 +104,7 @@ def variance_function(u, design: dict, grid: TimeGrid | None = None) -> Variance
     population median). Designs without closed-form pairwise inclusion
     probabilities are refused by name.
     """
-    values, grid = _u_values(u, grid)
+    values, grid = values_on_grid(u, grid)
     dtype = design["type"]
     if dtype == "srswor":
         n_population, n = design["N"], design["n"]
@@ -149,7 +140,7 @@ def variance_function_generic(u, pi, pi_kl, grid: TimeGrid | None = None) -> Var
     pi_kl is the full N x N pairwise matrix with pi on the diagonal.
     Intended for enumeration-scale cross-checks of the closed forms.
     """
-    values, grid = _u_values(u, grid)
+    values, grid = values_on_grid(u, grid)
     pi = np.asarray(pi, dtype=float)
     pi_kl = np.asarray(pi_kl, dtype=float)
     n_population = values.shape[0]
@@ -172,7 +163,7 @@ def variance_estimate(draw: SampleDraw, u_hat, grid: TimeGrid | None = None) -> 
     estimator exists) and flags the result; with-replacement PPS is
     refused in favor of hansen_hurwitz_variance.
     """
-    values, grid = _u_values(u_hat, grid)
+    values, grid = values_on_grid(u_hat, grid)
     _check_rows(values.shape[0], draw.n_units, "variance estimation")
     dtype = draw.design["type"]
     if dtype in ("srswor", "systematic"):
@@ -218,7 +209,7 @@ def variance_estimate_generic(
     probabilities make the estimator undefined; the systematic design hits
     this, and the error points at its stock remedy.
     """
-    values, grid = _u_values(u_hat, grid)
+    values, grid = values_on_grid(u_hat, grid)
     pi = np.asarray(pi, dtype=float)
     pi_kl = np.asarray(pi_kl, dtype=float)
     n = values.shape[0]
@@ -247,7 +238,7 @@ def poststratified_variance_estimate(
     N^2 (1/n - 1/N) sum_g ((N_g - 1)/(N - 1)) S^2_g. Each group needs at
     least two sampled units.
     """
-    values, grid = _u_values(u_hat, grid)
+    values, grid = values_on_grid(u_hat, grid)
     _check_rows(values.shape[0], draw.n_units, "poststratified variance estimation")
     if draw.design["type"] != "srswor":
         raise DesignError("poststratified variance estimation expects an SRSWOR draw")
@@ -277,7 +268,7 @@ def hansen_hurwitz_variance(
     unit contribute through its multiplicity. u_hat rows align with
     draw.units (the distinct drawn units).
     """
-    values, grid = _u_values(u_hat, grid)
+    values, grid = values_on_grid(u_hat, grid)
     _check_rows(values.shape[0], draw.n_units, "Hansen-Hurwitz variance")
     if draw.design["type"] != "ppswr" or draw.multiplicities is None:
         raise DesignError("Hansen-Hurwitz variance needs a with-replacement draw record")

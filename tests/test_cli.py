@@ -306,10 +306,22 @@ class TestSimulateCommand:
         assert losses[0] == "design,replicate,loss,variance_loss"
         assert len(losses) == 3
 
-    def test_unknown_design_name_is_input_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            pytest.param({"n": 10, "include": ["BOGUS"]}, "BOGUS", id="unknown-name"),
+            pytest.param({"n": 20, "n_strata": "4"}, "n_strata", id="n_strata-string"),
+            pytest.param({"n": 20, "n_strata": 2.5}, "n_strata", id="n_strata-float"),
+            pytest.param({"n": 20, "n_strata": True}, "n_strata", id="n_strata-bool"),
+            pytest.param({"n": 20, "n_strata": 1}, "n_strata", id="n_strata-one"),
+            pytest.param({"n": 20, "include": 5}, "include", id="include-number"),
+            pytest.param({"n": 20, "include": "SRSWOR"}, "include", id="include-string"),
+        ],
+    )
+    def test_unknown_design_name_is_input_error(self, tmp_path, capsys, spec, named):
         synth = self._synth(tmp_path)
         designs = tmp_path / "designs.json"
-        designs.write_text(json.dumps({"n": 10, "include": ["BOGUS"]}))
+        designs.write_text(json.dumps(spec))
         code = main(
             [
                 "simulate",
@@ -324,6 +336,7 @@ class TestSimulateCommand:
             ]
         )
         assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestStratifyCommand:

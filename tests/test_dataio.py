@@ -85,9 +85,16 @@ def test_numeric_header_must_be_strictly_increasing(tmp_path):
 def test_duplicate_id_reports_its_second_line(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_text("id,0.5,1.5\n7,1,2\n8,3,4\n\n8,5,6\n7,7,8\n")
-    with pytest.raises(ParseError, match="duplicate unit id '8'") as err:
+    with pytest.raises(ParseError, match="duplicate unit id '8', first seen on line 3") as err:
         read_curves(path)
     assert err.value.line == 5
+
+    # ids are compared as the integers the population keeps
+    for first, second in (("1", "01"), ("10", "1_0")):
+        path.write_text(f"id,0.5,1.5\n{first},1,2\n4,3,4\n{second},5,6\n")
+        with pytest.raises(ParseError, match=f"duplicate unit id '{second}', first seen on line 2") as err:
+            read_curves(path)
+        assert err.value.line == 4
 
 
 def test_bulk_parser_defers_what_float_decides():
@@ -147,16 +154,19 @@ def read_per_line(path) -> CurvePopulation:
             row.append(v)
         ids.append((line_no, cells[0].strip()))
         values.append(row)
-    for line_no, uid in ids:
-        if first_line.setdefault(uid, line_no) != line_no:
-            raise ParseError(f"duplicate unit id {uid!r}", path=path, line=line_no)
     labels = [uid for _, uid in ids]
     try:
-        id_array = np.array([int(i) for i in labels])
+        keys = [int(i) for i in labels]
     except ValueError:
-        id_array = np.array(labels)
+        keys = labels
+    for (line_no, label), key in zip(ids, keys):
+        first = first_line.setdefault(key, line_no)
+        if first != line_no:
+            raise ParseError(
+                f"duplicate unit id {label!r}, first seen on line {first}", path=path, line=line_no
+            )
     try:
-        return CurvePopulation(np.array(values), grid, ids=id_array)
+        return CurvePopulation(np.array(values), grid, ids=np.array(keys))
     except ValueError as exc:
         raise ParseError(str(exc), path=path)
 
@@ -260,4 +270,8 @@ def test_design_json_load_and_validation(tmp_path):
     with pytest.raises(DesignError, match="allocation"):
         validate_design({"type": "stratified", "n": 8, "allocation": [4, 0]})
     validate_design({"type": "systematic", "n": 8, "order_key_column": "mean"})
-    validate_design({"type": "ppswr", "n": 8, "p_source": "aux"})
+    validate_design({"type": "ppswr", "n": 8, "p_source": "mean"})
+    validate_design({"type": "ppswr", "n": 8, "p_source": [1, 2.5]})
+    for src in ("aux", "max", ["a"], [True]):
+        with pytest.raises(DesignError, match="p_source"):
+            validate_design({"type": "ppswr", "n": 8, "p_source": src})

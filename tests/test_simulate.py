@@ -221,7 +221,9 @@ class TestMonteCarlo:
         assert report.outcome("CENSUS").losses[0] == 0.0
         assert report.outcome("CENSUS").estimate_failures == 0
 
-    def test_report_deterministic_and_thread_invariant(self):
+    def test_report_deterministic_and_replicate_prefix_invariant(self):
+        # seeds derive from (design, replicate), not from how many replicates
+        # run: the first 6 of a 10-replicate run are the 6-replicate run
         pop = synth_population(small_cfg(n_units=50))
         plans = [
             DesignPlan(name="SRSWOR", kind="srswor", n=10),
@@ -229,10 +231,16 @@ class TestMonteCarlo:
         ]
         r1 = monte_carlo_compare(pop.study, plans, replicates=6, seed=21)
         r2 = monte_carlo_compare(pop.study, plans, replicates=6, seed=21)
-        r4 = monte_carlo_compare(pop.study, plans, replicates=6, seed=21, threads=4)
-        for a, b in ((r1, r2), (r1, r4)):
-            for oa, ob in zip(a.outcomes, b.outcomes):
-                assert np.array_equal(oa.losses, ob.losses)
+        r10 = monte_carlo_compare(pop.study, plans, replicates=10, seed=21)
+        for oa, ob in zip(r1.outcomes, r2.outcomes):
+            assert np.array_equal(oa.losses, ob.losses)
+        for oa, ob in zip(r1.outcomes, r10.outcomes):
+            assert np.array_equal(oa.losses, ob.losses[:6])
+            if oa.variance_losses is None:
+                assert ob.variance_losses is None
+            else:
+                assert np.array_equal(oa.variance_losses, ob.variance_losses[:6])
+        assert r1.outcome("SRSWOR").variance_losses is not None
 
     def test_variance_losses_only_for_closed_form_designs(self):
         pop = synth_population(small_cfg(n_units=50))
