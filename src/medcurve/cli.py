@@ -27,6 +27,7 @@ from .dataio import (
     load_json,
     load_simulation_designs,
     read_curves,
+    strata_count,
     write_curve,
     write_losses,
     write_sample,
@@ -302,7 +303,7 @@ def cmd_simulate(args) -> int:
         raise ParseError("--input takes one synthetic config or an aux/study CSV pair")
 
     spec = load_simulation_designs(args.design, SUITE_NAMES)
-    n_strata = spec["n_strata"] if spec["n_strata"] is not None else args.H
+    n_strata = spec["n_strata"] if spec["n_strata"] is not None else strata_count(args.H, "--H")
     cfg = _solver_config(args)
     plans = standard_design_suite(aux, n=spec["n"], n_strata=n_strata, seed=seed, solver_cfg=None)
     plans = [p for p in plans if p.name in spec["include"]]
@@ -318,9 +319,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stratify(args) -> int:
+    strata_count(args.H, "--H")
     pop = read_curves(args.input)
-    if args.H < 2:
-        raise DesignError("need at least 2 strata")
 
     if args.on == "scalar-max":
         strata = quartile_strata(pop.values.max(axis=1), args.H)

@@ -186,6 +186,13 @@ def _is_int(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def strata_count(value, name: str, path: str | None = None) -> int:
+    """A strata count from a file or a flag: an int of at least 2, else ParseError."""
+    if not _is_int(value, 2):
+        raise ParseError(f"{name} must be an integer of at least 2", path=path)
+    return value
+
+
 def validate_design(design: dict[str, Any]) -> dict[str, Any]:
     """Check a design description and return it with defaults filled in.
 
@@ -265,8 +272,8 @@ def load_simulation_designs(path: str | os.PathLike, names) -> dict[str, Any]:
     n, n_strata = raw["n"], raw.get("n_strata")
     if not _is_int(n, 1):
         raise ParseError("simulation 'n' must be a positive integer", path=path)
-    if n_strata is not None and not _is_int(n_strata, 2):
-        raise ParseError("simulation 'n_strata' must be an integer of at least 2", path=path)
+    if n_strata is not None:
+        strata_count(n_strata, "simulation 'n_strata'", path)
     include = raw.get("include", list(names))
     if not isinstance(include, list) or not all(isinstance(name, str) for name in include):
         raise ParseError("simulation 'include' must be a list of design names", path=path)

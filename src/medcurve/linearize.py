@@ -19,9 +19,11 @@ On the value-vector side the operator is the D x D matrix
 
 with q the quadrature weights. A is similar to the symmetric positive
 semidefinite matrix sqrt(q_i) A[i, j] / sqrt(q_j), which is what the
-eigenvalue and linear-solve paths use. The operator is singular exactly
-when every e_k lies on one line, the same degenerate geometry where the
-median itself can be non-unique.
+eigenvalue and linear-solve paths use. That matrix is assembled by
+`solver.scaled_operator`, the same assembly the solver's Newton steps
+use, and A is derived from it. The operator is singular exactly when
+every e_k lies on one line, the same degenerate geometry where the median
+itself can be non-unique.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .curves import Curve, TimeGrid, _positive_weights, as_matrix, as_vector
 from .errors import LinearizationError
-from .solver import point_offsets
+from .solver import point_offsets, scaled_operator
 
 __all__ = ["GammaMatrix", "LinearizedSet", "gamma_matrix", "linearized_variables"]
 
@@ -99,19 +101,13 @@ def gamma_matrix(
     curves,
     at: Curve | np.ndarray,
     weights=None,
-    form: str = "integral",
     anchor_eps: float = 1e-12,
 ) -> GammaMatrix:
-    """Assemble the derivative operator at a point (usually a fitted median).
-
-    form selects between two mathematically identical assemblies kept as a
-    cross-check on each other: "integral" builds the kernel matrix gam in
-    one shot, "tensor" accumulates per-unit rank-one updates.
-    """
-    return _gamma_and_directions(curves, at, weights, form, anchor_eps)[0]
+    """Assemble the derivative operator at a point (usually a fitted median)."""
+    return _gamma_and_directions(curves, at, weights, anchor_eps)[0]
 
 
-def _gamma_and_directions(curves, at, weights, form, anchor_eps):
+def _gamma_and_directions(curves, at, weights, anchor_eps):
     """The operator, plus the unit directions e_k of the retained curves it was built from."""
     values, grid = as_matrix(curves)
     d = values.shape[1]
@@ -131,25 +127,14 @@ def _gamma_and_directions(curves, at, weights, form, anchor_eps):
             "and are excluded from the linearization",
             stacklevel=3,
         )
-    e = diffs[keep] / r[keep][:, None]
-    wr = w[keep] / r[keep]
-    q = grid.weights
-    c = float(wr.sum())
-
-    if form == "integral":
-        gam = (e * wr[:, None]).T @ e
-        a = -gam * q[None, :]
-        a[np.diag_indices(d)] += c
-    elif form == "tensor":
-        a = np.zeros((d, d))
-        for ek, wrk in zip(e, wr):
-            a += wrk * (np.eye(d) - np.outer(ek, ek * q))
-    else:
-        raise ValueError(f"unknown form {form!r}")
-
-    sqrt_q = np.sqrt(q)
-    sym = a * (sqrt_q[:, None] / sqrt_q[None, :])
+    diffs, r = diffs[keep], r[keep]
+    e = diffs / r[:, None]
+    sqrt_q = np.sqrt(grid.weights)
+    diffs *= sqrt_q
+    sym = scaled_operator(diffs, w[keep] / r, r)
     sym = (sym + sym.T) / 2.0
+    a = sym * (sqrt_q[None, :] / sqrt_q[:, None])
+
     eig = np.linalg.eigvalsh(sym)
     condition = float(eig[-1] / eig[0]) if eig[0] > 0 else float("inf")
     ridged = False
@@ -181,7 +166,6 @@ def linearized_variables(
     curves,
     at: Curve | np.ndarray,
     weights=None,
-    form: str = "integral",
     anchor_eps: float = 1e-12,
 ) -> LinearizedSet:
     """Compute u_k = G^{-1} e_k for every curve not coinciding with `at`.
@@ -190,7 +174,7 @@ def linearized_variables(
     (the estimating equation pushed through G^{-1}). For a design-based
     expansion pass the sampled curves with their sampling weights.
     """
-    gamma, e, keep = _gamma_and_directions(curves, at, weights, form, anchor_eps)
+    gamma, e, keep = _gamma_and_directions(curves, at, weights, anchor_eps)
     return LinearizedSet(
         values=gamma.solve(e),
         units=np.flatnonzero(keep),

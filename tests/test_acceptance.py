@@ -39,6 +39,7 @@ from medcurve import (
     variance_function_generic,
 )
 from medcurve.designs import StrataSpec
+from oracles import tensor_gamma
 
 TIGHT = SolverConfig(tol=1e-12, max_iter=5000)
 
@@ -263,10 +264,10 @@ def test_criterion_05_gamma_consistency():
     for _ in range(20):
         pop = _random_population(rng, int(rng.integers(6, 20)), int(rng.integers(3, 7)))
         at = np.median(pop.values, axis=0)
-        integral = gamma_matrix(pop, at, form="integral")
-        tensor = gamma_matrix(pop, at, form="tensor")
-        worst_entry = max(worst_entry, np.abs(integral.matrix - tensor.matrix).max())
-        assert np.abs(integral.matrix - tensor.matrix).max() <= 1e-10
+        integral = gamma_matrix(pop, at)
+        tensor = tensor_gamma(pop, at)
+        worst_entry = max(worst_entry, np.abs(integral.matrix - tensor).max())
+        assert np.abs(integral.matrix - tensor).max() <= 1e-10
 
         sym = integral.symmetrized()
         worst_sym = max(worst_sym, np.abs(sym - sym.T).max())

@@ -435,3 +435,30 @@ class TestStratifyCommand:
         assert payload["n_strata"] == 3
         assert sum(payload["sizes"]) == 40
         assert sum(payload["allocations"]["u-OPTIM"]) == 12
+
+
+@pytest.mark.parametrize(
+    "command, h, code",
+    [
+        pytest.param("simulate", "1", 2, id="simulate-H1"),
+        pytest.param("simulate", "0", 2, id="simulate-H0"),
+        pytest.param("stratify", "1", 2, id="stratify-H1"),
+        # a valid count the population cannot fill is a design error
+        pytest.param("stratify", "50", 4, id="stratify-H50"),
+    ],
+)
+def test_strata_count_exit_codes(tmp_path, capsys, command, h, code):
+    if command == "simulate":
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps(dict(n_units=40, points_per_week=14, points_per_day=2, seed=4)))
+        designs = tmp_path / "designs.json"
+        designs.write_text(json.dumps({"n": 20}))
+        argv = ["simulate", "--input", str(synth), "--design", str(designs)]
+    else:
+        path = tmp_path / "p.csv"
+        rows = ["id,0.25,0.75"] + [f"{i + 1},{i},{2 * i}" for i in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        argv = ["stratify", "--input", str(path), "--on", "raw"]
+    assert main([*argv, "--H", h, "--seed", "1", "--out", str(tmp_path)]) == code
+    if code == 2:
+        assert "--H must be an integer of at least 2" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from medcurve import CurvePopulation, TimeGrid
 from medcurve.errors import LinearizationError
 from medcurve.linearize import gamma_matrix, linearized_variables
 from medcurve.solver import SolverConfig, l1_median, score
+from oracles import tensor_gamma
 
 
 def test_two_orthogonal_directions_hand_oracle():
@@ -38,10 +39,10 @@ def test_assembly_forms_agree_entrywise():
     pop = CurvePopulation(rng.normal(size=(15, 7)), grid)
     point = rng.normal(size=7)
     w = rng.uniform(0.5, 3.0, size=15)
-    a = gamma_matrix(pop, point, weights=w, form="integral")
-    b = gamma_matrix(pop, point, weights=w, form="tensor")
+    a = gamma_matrix(pop, point, weights=w)
+    b = tensor_gamma(pop, point, weights=w)
     scale = np.abs(a.matrix).max()
-    assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12 * scale
+    assert np.max(np.abs(a.matrix - b)) <= 1e-12 * scale
 
 
 def test_operator_is_positive_definite_for_generic_curves():
@@ -141,5 +142,3 @@ def test_rejects_bad_inputs():
         gamma_matrix(pop, np.zeros(2))
     with pytest.raises(ValueError):
         gamma_matrix(pop, np.zeros(3), weights=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        gamma_matrix(pop, np.zeros(3), form="spectral")

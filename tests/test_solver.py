@@ -11,8 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from medcurve import Curve, CurvePopulation, TimeGrid
+from medcurve import Curve, CurvePopulation, TimeGrid, gamma_matrix
 from medcurve.solver import (
     MedianFit,
     SolverConfig,
@@ -241,21 +243,146 @@ def masked_weiszfeld(values, grid, w, y, tol, max_iter, anchor_eps=1e-12):
             y = t_point
 
 
-@pytest.mark.parametrize("anchored", [False, True])
-def test_buffered_iteration_is_bit_identical_to_the_masked_form(anchored):
-    rng = np.random.default_rng(79)
-    if anchored:
+def masked_newton(values, grid, w, y, tol, max_iter, anchor_eps=1e-12):
+    """Newton steps with the Weiszfeld fallback, written with per-step masked copies.
+
+    At a non-anchored iterate the step solves (c I - Z^T diag(w/r^3) Z) s' =
+    R sqrt(q) with Z = (Y - y) sqrt(q), and y + s'/sqrt(q) replaces y unless
+    its objective rises by more than 1e-12 of the first, in which case the
+    Weiszfeld point from y does. Anchored iterates take the blended step.
+    """
+    sqrt_q = np.sqrt(grid.weights)
+    spread = float(np.max(grid.norms(values - y)))
+    eps = anchor_eps * max(spread, 1.0)
+    trace = []
+    fallback = None
+    for it in range(max_iter + 1):
+        diffs = values - y
+        r = grid.norms(diffs)
+        objective = float(w @ r)
+        if fallback is not None and not objective - trace[-1] <= 1e-12 * trace[0]:
+            y = fallback
+            diffs = values - y
+            r = grid.norms(diffs)
+            objective = float(w @ r)
+        fallback = None
+        trace.append(objective)
+        free = r > eps
+        eta = float(w[~free].sum())
+        if not np.any(free):
+            return y, 0.0
+        inv_r = w[free] / r[free]
+        residual = inv_r @ diffs[free]
+        rn = float(grid.norms(residual))
+        gap = max(0.0, rn - eta)
+        if gap <= tol * w.sum() or it == max_iter:
+            return y, gap
+        t_point = (inv_r @ values[free]) / inv_r.sum()
+        if eta > 0:
+            if rn > 0:
+                beta = min(1.0, eta / rn)
+                y = (1.0 - beta) * t_point + beta * y
+            else:
+                y = t_point
+            continue
+        z = diffs * sqrt_q
+        wz = z * (inv_r / (r * r))[:, None]
+        sym = -(wz.T @ z)
+        sym[np.diag_indices(len(sym))] += inv_r.sum()
+        try:
+            step = np.linalg.solve(sym, residual * sqrt_q) / sqrt_q
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.all(np.isfinite(step)):
+            y = t_point
+        else:
+            fallback = t_point
+            y = y + step
+
+
+@pytest.mark.parametrize(
+    "n_units, n_points, heavy",
+    [
+        pytest.param(60, 10, None, id="False"),
         # a heavy curve pulls the iterate onto itself
-        values = rng.normal(size=(15, 6))
-        w = np.ones(15)
-        w[4] = 20.0
+        pytest.param(30, 6, 40.0, id="True"),
+        # fewer than 3 curves per grid point: plain Weiszfeld steps
+        pytest.param(20, 10, None, id="weiszfeld-side"),
+        pytest.param(15, 6, 20.0, id="weiszfeld-side-anchored"),
+    ],
+)
+def test_buffered_iteration_is_bit_identical_to_the_masked_form(n_units, n_points, heavy):
+    rng = np.random.default_rng(79)
+    if heavy:
+        values = rng.normal(size=(n_units, n_points))
+        w = np.ones(n_units)
+        w[4] = heavy
     else:
-        values = rng.standard_gamma(2.0, size=(60, 10))
-        w = rng.uniform(0.5, 2.0, size=60)
+        values = rng.standard_gamma(2.0, size=(n_units, n_points))
+        w = rng.uniform(0.5, 2.0, size=n_units)
     pop = CurvePopulation(values, TimeGrid.uniform(values.shape[1]))
     cfg = SolverConfig(tol=1e-12, init="mean")
     fit = l1_median(pop, weights=w, cfg=cfg)
-    y, gap = masked_weiszfeld(values, pop.grid, w, values.mean(axis=0), cfg.tol, cfg.max_iter)
-    assert fit.anchored == anchored
+    masked = masked_newton if n_units >= 3 * n_points else masked_weiszfeld
+    y, gap = masked(values, pop.grid, w, values.mean(axis=0), cfg.tol, cfg.max_iter)
+    assert fit.anchored == bool(heavy)
     assert np.array_equal(fit.median.values.view(np.int64), y.view(np.int64))
     assert fit.residual_norm == gap
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(2, 8),
+    offset=st.integers(-4, 4),
+    case=st.sampled_from(["generic", "planted", "heavy"]),
+)
+def test_newton_and_weiszfeld_agree_within_the_tolerance(seed, n_points, offset, case):
+    # populations on both sides of the 3 curves per grid point rule, on
+    # an uneven grid so that the sqrt(q) scaling matters
+    rng = np.random.default_rng(seed)
+    n_units = max(5, 3 * n_points + offset)
+    grid = TimeGrid.from_points(np.sort(rng.uniform(0.0, 2.0, size=n_points)))
+    values = rng.standard_gamma(2.0, size=(n_units, n_points)) * rng.uniform(0.5, 3.0, size=n_points)
+    w = rng.uniform(0.5, 3.0, size=n_units)
+    cfg = SolverConfig(tol=1e-10, max_iter=20000, init="mean")
+    if case == "planted":
+        # a curve within 1e-6 of the median of the others; when that median
+        # sits on a data curve, two curves 1e-6 apart leave Weiszfeld
+        # crawling, which is no test of agreement
+        rest = l1_median(CurvePopulation(values[1:], grid), weights=w[1:], cfg=cfg)
+        assume(not rest.anchored)
+        direction = rng.normal(size=n_points)
+        values[0] = rest.median.values + 1e-6 * direction / grid.norms(direction)
+    elif case == "heavy":
+        # outweighs the rest, so the median is that curve
+        w[0] = 1.5 * w[1:].sum()
+    pop = CurvePopulation(values, grid)
+    start = values.mean(axis=0)
+
+    y, gap = masked_weiszfeld(values, grid, w, start, cfg.tol, cfg.max_iter)
+    # next to a data curve that is not the median, Weiszfeld can crawl
+    # past any iteration cap; such draws compare nothing
+    assume(gap <= cfg.tol * w.sum())
+    fit = l1_median(pop, weights=w, cfg=cfg)
+    assert fit.converged and fit.residual_norm <= cfg.tol * w.sum()
+
+    trace = np.array(fit.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+
+    radius = 1e-12 * max(float(np.max(grid.norms(values - start))), 1.0)
+    on_point = grid.norms(values - y) <= radius
+    assert fit.anchored == bool(on_point.any())
+    if case == "heavy":
+        assert fit.anchored and fit.anchor_index == 0
+    if fit.anchored:
+        # both iterates sit within the anchor radius of the same curve
+        assert fit.anchor_index == int(np.argmax(on_point))
+        bound = 2.0 * radius
+    else:
+        # strong convexity: |m_N - m_W| <= |R(m_N) - R(m_W)| / lambda_min(G);
+        # each gap sums n terms of size w_k, so it is known to n eps W
+        lam = gamma_matrix(pop, fit.median, weights=w).min_eigenvalue()
+        rounding = 2 * n_units * np.finfo(float).eps * w.sum()
+        bound = (fit.residual_norm + gap + rounding) / lam
+    assert float(grid.norms(fit.median.values - y)) <= bound
