@@ -10,8 +10,13 @@ from .curves import (
     pointwise_median,
 )
 from .designs import (
+    DESIGNS,
+    PpsWr,
     SampleDraw,
+    Srswor,
     StrataSpec,
+    Stratified,
+    Systematic,
     as_seed,
     draw_ppswr,
     draw_srswor,
@@ -33,7 +38,6 @@ from .estimators import (
     WeightedSample,
     ht_median,
     ht_weights,
-    poststratified_median,
     poststratified_weights,
 )
 from .linearize import GammaMatrix, LinearizedSet, gamma_matrix, linearized_variables
@@ -59,8 +63,6 @@ from .stratify import (
 )
 from .variance import (
     VarianceFunction,
-    hansen_hurwitz_variance,
-    poststratified_variance_estimate,
     variance_estimate,
     variance_estimate_generic,
     variance_function,

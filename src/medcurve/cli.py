@@ -33,7 +33,7 @@ from .dataio import (
     write_sample,
     write_variance,
 )
-from .designs import StrataSpec, pps_weights_from_curves
+from .designs import DESIGNS
 from .errors import (
     DesignError,
     EstimationError,
@@ -42,11 +42,10 @@ from .errors import (
     MedcurveError,
     ParseError,
 )
-from .estimators import ht_median, poststratified_median
+from .estimators import ht_median, weighted_median
 from .linearize import linearized_variables
 from .simulate import (
     SUITE_NAMES,
-    DesignPlan,
     SynthConfig,
     monte_carlo_compare,
     standard_design_suite,
@@ -54,11 +53,7 @@ from .simulate import (
 )
 from .solver import SolverConfig, l1_median, objective_value
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
-from .variance import (
-    hansen_hurwitz_variance,
-    poststratified_variance_estimate,
-    variance_estimate,
-)
+from .variance import variance_estimate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -142,92 +137,26 @@ def cmd_median(args) -> int:
     return EXIT_OK
 
 
-def _design_strata(design: dict, n_population: int) -> StrataSpec:
-    raw = design.get("strata")
-    if raw is None:
-        raise DesignError(f"design type {design['type']!r} needs per-unit 'strata' labels")
-    labels = np.asarray(raw)
-    if labels.shape != (n_population,):
-        raise DesignError(
-            f"'strata' must list one label per population unit ({n_population}), got {labels.size}"
-        )
-    return StrataSpec.from_labels(labels)
-
-
-def _order_key(pop: CurvePopulation, design: dict) -> np.ndarray:
-    key = design.get("order_key_column", "mean")
-    if key == "mean":
-        return pop.values.mean(axis=1)
-    if key == "max":
-        return pop.values.max(axis=1)
-    try:
-        col = int(key)
-    except ValueError:
-        raise DesignError(
-            f"order_key_column must be 'mean', 'max', or a grid point index, got {key!r}"
-        )
-    if not 0 <= col < pop.grid.n_points:
-        raise DesignError(f"order_key_column index {col} outside grid of {pop.grid.n_points}")
-    return pop.values[:, col]
-
-
-def _pps_probabilities(pop: CurvePopulation, design: dict) -> np.ndarray:
-    src = design.get("p_source", "mean")
-    if src == "mean":
-        return pps_weights_from_curves(pop)
-    sizes = np.asarray(src, dtype=float)
-    if sizes.shape != (pop.n_units,):
-        raise DesignError(f"'p_source' must list one size per unit ({pop.n_units})")
-    if np.any(sizes <= 0) or not np.all(np.isfinite(sizes)):
-        raise DesignError("'p_source' sizes must be positive and finite")
-    return sizes / sizes.sum()
-
-
-def _design_plan(pop: CurvePopulation, design: dict) -> DesignPlan:
-    """The validated design JSON resolved against the population it samples."""
-    kind, n = design["type"], design["n"]
-    fields = {}
-    if kind == "systematic":
-        fields["order_key"] = _order_key(pop, design)
-    elif kind == "ppswr":
-        fields["p"] = _pps_probabilities(pop, design)
-    elif kind == "poststratified":
-        fields["groups"] = _design_strata(design, pop.n_units)
-    elif kind == "stratified":
-        strata = fields["strata"] = _design_strata(design, pop.n_units)
-        alloc = design.get("allocation")
-        if alloc is None:
-            alloc = proportional_allocation(strata.sizes, n).counts
-        else:
-            alloc = np.asarray(alloc)
-            if alloc.size != strata.n_strata or alloc.sum() != n:
-                raise DesignError(
-                    f"'allocation' must give {strata.n_strata} counts summing to {n}"
-                )
-        fields["alloc"] = alloc
-    return DesignPlan(name=kind, kind=kind, n=n, **fields)
-
-
 def cmd_estimate(args) -> int:
     pop = read_curves(args.input)
-    design = load_design(args.design)
-    seed = args.seed if args.seed is not None else design.get("seed")
+    spec = load_design(args.design)
+    seed = args.seed if args.seed is not None else spec.get("seed")
     if seed is None:
         raise ParseError("estimation draws a sample; pass --seed (or a 'seed' in the design)")
     cfg = _solver_config(args)
 
-    plan = _design_plan(pop, design)
-    draw = plan.draw(pop.n_units, seed)
-    sample = plan.weights(draw)
-    # called by name, not through plan.estimate: perfbench's traced mode
-    # patches cli.ht_median to capture the fit its replay must reproduce
-    if plan.kind == "poststratified":
-        fit = poststratified_median(draw, pop, plan.groups, cfg=cfg)
-    else:
+    design = DESIGNS[spec["type"]][0].from_json(spec, pop)
+    draw = design.draw(seed)
+    weights = design.weights(draw)
+    # ht_median is called by name: perfbench's traced mode patches
+    # cli.ht_median to capture the fit its replay must reproduce
+    if getattr(design, "groups", None) is None:
         fit = ht_median(draw, pop, cfg=cfg)
+    else:
+        fit = weighted_median(draw, pop, weights, cfg)
 
     ids = np.asarray(pop.ids)[draw.units]
-    write_sample(_out_path(args, "sample.csv"), ids, draw.pi, sample.weights)
+    write_sample(_out_path(args, "sample.csv"), ids, draw.pi, weights)
     if not fit.converged:
         print(
             f"solver stopped after {fit.iterations} iterations without "
@@ -237,19 +166,18 @@ def cmd_estimate(args) -> int:
         return EXIT_SOLVER
     write_curve(_out_path(args, "median.csv"), fit.median)
 
+    if draw.n_units < 2:
+        raise EstimationError(
+            "the variance needs at least two sampled units; this draw holds one"
+        )
     sub = pop.subset(draw.units)
-    u_hat = linearized_variables(sub, fit.median, weights=sample.weights)
+    u_hat = linearized_variables(sub, fit.median, weights=weights)
     if u_hat.values.shape[0] != draw.n_units:
         raise EstimationError(
             "a sampled curve coincides with the fitted median; the variance "
             "formula is undefined for this draw"
         )
-    if plan.kind == "ppswr":
-        var = hansen_hurwitz_variance(draw, u_hat)
-    elif plan.kind == "poststratified":
-        var = poststratified_variance_estimate(draw, u_hat, plan.groups.labels, plan.groups.sizes)
-    else:
-        var = variance_estimate(draw, u_hat)
+    var = variance_estimate(draw, u_hat)
     write_variance(_out_path(args, "variance.csv"), pop.grid, var.values)
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from .curves import Curve, CurvePopulation, TimeGrid
+from .designs import DESIGNS
 from .errors import DesignError, ParseError
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "load_simulation_designs",
     "validate_design",
 ]
-
-DESIGN_TYPES = ("srswor", "systematic", "stratified", "ppswr", "poststratified")
-
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
@@ -193,52 +191,58 @@ def strata_count(value, name: str, path: str | None = None) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_label(value) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
+def _is_list_of(value, ok) -> bool:
+    return isinstance(value, list) and all(ok(v) for v in value)
+
+
+# what each design-JSON field must hold, whichever design type reads it
+_DESIGN_FIELDS = {
+    "strata": (
+        lambda v: _is_list_of(v, _is_label),
+        "a list of per-unit labels, each an integer or a string",
+    ),
+    "allocation": (lambda v: _is_list_of(v, lambda a: _is_int(a, 1)), "a list of positive integers"),
+    "order_key_column": (lambda v: isinstance(v, str), "a string"),
+    "p_source": (
+        lambda v: v == "mean" or _is_list_of(v, _is_number),
+        '"mean" or a list of per-unit sizes',
+    ),
+}
+
+
 def validate_design(design: dict[str, Any]) -> dict[str, Any]:
     """Check a design description and return it with defaults filled in.
 
-    Required keys: type (one of srswor, systematic, stratified, ppswr,
-    poststratified) and n (positive integer). Optional: seed, strata
-    (list of per-unit labels, stratified/poststratified only),
-    order_key_column (systematic only), p_source (ppswr only: "mean" or a
-    list of per-unit sizes).
+    Required keys: type (a key of designs.DESIGNS) and n (positive
+    integer). Optional: seed, and the fields DESIGNS lists for the type,
+    each holding what _DESIGN_FIELDS describes.
     """
     if not isinstance(design, dict):
         raise DesignError("design description must be a JSON object")
     dtype = design.get("type")
-    if dtype not in DESIGN_TYPES:
-        raise DesignError(f"unknown design type {dtype!r}; expected one of {DESIGN_TYPES}")
+    if not isinstance(dtype, str) or dtype not in DESIGNS:
+        raise DesignError(f"unknown design type {dtype!r}; expected one of {tuple(DESIGNS)}")
     if not _is_int(design.get("n"), 1):
         raise DesignError("design 'n' must be a positive integer")
     seed = design.get("seed")
     if seed is not None and not _is_int(seed, 0):
         raise DesignError("design 'seed' must be a non-negative integer")
-    allowed = {"type", "n", "seed"}
-    if dtype in ("stratified", "poststratified"):
-        allowed.add("strata")
-        strata = design.get("strata")
-        if strata is not None and not isinstance(strata, list):
-            raise DesignError("design 'strata' must be a list of per-unit labels")
-        if dtype == "stratified":
-            allowed.add("allocation")
-            alloc = design.get("allocation")
-            if alloc is not None and (
-                not isinstance(alloc, list) or not all(_is_int(a, 1) for a in alloc)
-            ):
-                raise DesignError("design 'allocation' must be a list of positive integers")
-    if dtype == "systematic":
-        allowed.add("order_key_column")
-        key = design.get("order_key_column")
-        if key is not None and not isinstance(key, str):
-            raise DesignError("design 'order_key_column' must be a string")
-    if dtype == "ppswr":
-        allowed.add("p_source")
-        src = design.get("p_source")
-        if src is not None and src != "mean" and not (
-            isinstance(src, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in src)
-        ):
-            raise DesignError("design 'p_source' must be \"mean\" or a list of per-unit sizes")
-    extra = set(design) - allowed
+    reads = DESIGNS[dtype][1]
+    for key in reads:
+        ok, what = _DESIGN_FIELDS[key]
+        if key in design and not ok(design[key]):
+            raise DesignError(f"design {key!r} must be {what}")
+    if "strata" in reads and "strata" not in design:
+        raise DesignError(f"design type {dtype!r} needs per-unit 'strata' labels")
+    extra = set(design) - {"type", "n", "seed", *reads}
     if extra:
         raise DesignError(f"unexpected design field(s) {sorted(extra)} for type {dtype!r}")
     return dict(design)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurvePopulation, _positive_weights
-from .designs import SampleDraw, StrataSpec
+from .designs import SampleDraw, StrataSpec, calibrated_weights
 from .errors import EstimationError
 from .solver import MedianFit, SolverConfig, l1_median
 
@@ -26,7 +26,6 @@ __all__ = [
     "ht_weights",
     "poststratified_weights",
     "ht_median",
-    "poststratified_median",
     "weighted_median",
 ]
 
@@ -52,53 +51,25 @@ def ht_weights(draw: SampleDraw) -> WeightedSample:
 
 
 def poststratified_weights(draw: SampleDraw, groups: StrataSpec) -> WeightedSample:
-    """Rescale 1/pi_k so each group's weights total its known size N_g.
-
-    Every nonempty population group must catch at least one sampled unit;
-    otherwise its size cannot be redistributed and the estimator is
-    undefined, which the error reports with the standard remedy.
-    """
-    if groups.n_units != draw.design["N"]:
-        raise EstimationError("group labels must cover the whole frame")
-    labels = groups.labels[draw.units]
-    d = draw.weights
-    sizes = groups.sizes
-    nhat = np.bincount(labels, weights=d, minlength=groups.n_strata)
-    empty = np.flatnonzero(nhat == 0)
-    if empty.size:
-        raise EstimationError(
-            f"group {int(empty[0])} has no sampled units; aggregate small "
-            "groups before poststratifying"
-        )
-    w = d * (sizes[labels] / nhat[labels])
-    return WeightedSample(units=draw.units, weights=w)
+    """Rescale 1/pi_k so each group's weights total its known size N_g."""
+    return WeightedSample(units=draw.units, weights=calibrated_weights(draw, groups))
 
 
 def weighted_median(
-    draw: SampleDraw, pop: CurvePopulation, sample: WeightedSample, cfg: SolverConfig | None
+    draw: SampleDraw, pop: CurvePopulation, weights: np.ndarray, cfg: SolverConfig | None
 ) -> MedianFit:
-    """L1-median of the drawn curves of pop under the sample's weights."""
-    if draw.design["N"] != pop.n_units:
+    """L1-median of the drawn curves of pop under the given weights."""
+    if draw.design.N != pop.n_units:
         raise EstimationError(
-            f"draw comes from a frame of {draw.design['N']} units "
+            f"draw comes from a frame of {draw.design.N} units "
             f"but the population has {pop.n_units}"
         )
-    sub = pop.subset(sample.units)
-    return l1_median(sub, weights=sample.weights, cfg=cfg)
+    return l1_median(pop.subset(draw.units), weights=weights, cfg=cfg)
 
 
 def ht_median(
     draw: SampleDraw, pop: CurvePopulation, cfg: SolverConfig | None = None
 ) -> MedianFit:
     """Weighted sample median with weights 1/pi_k (distinct units for PPS)."""
-    return weighted_median(draw, pop, ht_weights(draw), cfg)
+    return weighted_median(draw, pop, draw.weights, cfg)
 
-
-def poststratified_median(
-    draw: SampleDraw,
-    pop: CurvePopulation,
-    groups: StrataSpec,
-    cfg: SolverConfig | None = None,
-) -> MedianFit:
-    """Weighted sample median with group-calibrated weights."""
-    return weighted_median(draw, pop, poststratified_weights(draw, groups), cfg)

@@ -23,26 +23,18 @@ and independent of execution order.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .curves import Curve, CurvePopulation, TimeGrid
-from .designs import (
-    SampleDraw,
-    StrataSpec,
-    as_seed,
-    draw_ppswr,
-    draw_srswor,
-    draw_stratified,
-    draw_systematic,
-    pps_weights_from_curves,
-)
+from .designs import DESIGNS, StrataSpec, as_seed, pps_weights_from_curves
 from .errors import EstimationError, GridMismatchError, MedcurveError
-from .estimators import WeightedSample, ht_weights, poststratified_weights, weighted_median
+from .estimators import weighted_median
 from .linearize import linearized_variables
-from .solver import MedianFit, SolverConfig, l1_median
+from .solver import SolverConfig, l1_median
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
 from .variance import VarianceFunction, variance_estimate, variance_function
 
@@ -210,9 +202,10 @@ def loss_r_variance(
 class DesignPlan:
     """One design configured against the auxiliary week.
 
-    kind selects the draw ("srswor", "systematic", "stratified", "ppswr")
-    or the estimator variation ("poststratified": SRSWOR draw, group
-    calibrated weights). Fields beyond (name, kind, n) apply per kind.
+    kind names the design class in designs.DESIGNS ("srswor",
+    "systematic", "stratified", "ppswr", or "poststratified": an SRSWOR
+    draw with group-calibrated weights). The fields beyond (name, kind)
+    are that class's constructor arguments, bar the frame size N.
     """
 
     name: str
@@ -224,42 +217,22 @@ class DesignPlan:
     p: np.ndarray | None = None
     groups: StrataSpec | None = None
 
-    def draw(self, n_population: int, seed) -> SampleDraw:
-        if self.kind in ("srswor", "poststratified"):
-            return draw_srswor(n_population, self.n, seed)
-        if self.kind == "systematic":
-            return draw_systematic(self.order_key, self.n, seed)
-        if self.kind == "stratified":
-            return draw_stratified(self.strata, self.alloc, seed)
-        if self.kind == "ppswr":
-            return draw_ppswr(self.p, self.n, seed)
-        raise ValueError(f"unknown plan kind {self.kind!r}")
+    def design(self, n_population: int):
+        """The design this plan describes over a frame of n_population units."""
+        if self.kind not in DESIGNS:
+            raise ValueError(f"unknown plan kind {self.kind!r}")
+        cls = DESIGNS[self.kind][0]
+        given = {"N": n_population, **vars(self)}
+        return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)})
 
-    def weights(self, draw: SampleDraw) -> WeightedSample:
-        """Estimation weights: group-calibrated when poststratified, else 1/pi_k."""
-        if self.kind == "poststratified":
-            return poststratified_weights(draw, self.groups)
-        return ht_weights(draw)
+    def population_design(self, n_population: int):
+        """The design whose closed-form variance scores the replicates, or None.
 
-    def estimate(
-        self, draw: SampleDraw, pop: CurvePopulation, cfg: SolverConfig | None
-    ) -> MedianFit:
-        return weighted_median(draw, pop, self.weights(draw), cfg)
-
-    def population_design(self, n_population: int) -> dict[str, Any] | None:
-        """Design dict for the asymptotic variance, when a closed form exists."""
-        if self.kind == "srswor":
-            return {"type": "srswor", "N": n_population, "n": self.n}
-        if self.kind == "stratified":
-            return {
-                "type": "stratified",
-                "N": n_population,
-                "n": self.n,
-                "labels": self.strata.labels,
-                "alloc": np.asarray(self.alloc),
-                "sizes": self.strata.sizes,
-            }
-        return None
+        Systematic and PPS designs have no closed form; poststratified
+        plans are not scored.
+        """
+        design = self.design(n_population)
+        return design if design.closed_form and self.groups is None else None
 
 
 SUITE_NAMES = (
@@ -372,7 +345,8 @@ def monte_carlo_compare(
     Per replicate r of plan d the draw seed is the master seed spawned at
     (d, r), so a replicate's result does not depend on how many replicates
     run or in what order. Replicate failures (non-convergence, estimator
-    errors) are recorded as NaN losses and counted, never raised.
+    errors) are recorded as NaN losses and counted, never raised; a plan
+    that describes no valid design raises before its replicates run.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -409,10 +383,11 @@ def monte_carlo_compare(
     var_fail = np.zeros(len(plans), dtype=int)
 
     for d, plan in enumerate(plans):
+        design = plan.design(study.n_units)
         for r in range(replicates):
             try:
-                draw = plan.draw(study.n_units, rep_seeds[d][r])
-                fit = plan.estimate(draw, study, cfg)
+                draw = design.draw(rep_seeds[d][r])
+                fit = weighted_median(draw, study, design.weights(draw), cfg)
                 if not fit.converged:
                     est_fail[d] += 1
                     continue

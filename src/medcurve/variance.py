@@ -16,9 +16,16 @@ S^2 with the N-1 denominator throughout):
 Estimators substitute the sample variance of the estimated linearized
 variables; the generic estimator weights sampled pairs by
 (pi_kl - pi_k pi_l)/(pi_kl pi_k pi_l). Systematic samples admit no
-unbiased variance estimator, so that path applies the SRSWOR formula and
-says so in the result. With-replacement PPS uses the separate
-Hansen-Hurwitz form built from draw multiplicities.
+unbiased variance estimator, so that design applies the SRSWOR formula
+and says so in the result. With-replacement PPS uses the Hansen-Hurwitz
+form built from draw multiplicities.
+
+Each design class in ``designs`` evaluates its own forms. This module
+holds the VarianceFunction result type, the two entry points that check
+their input and hand it to the design (variance_function for the
+population form, variance_estimate for the estimator), and the generic
+double sums that cross-check the closed forms on enumeration-scale
+frames.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TimeGrid, values_on_grid
-from .designs import SampleDraw
 from .errors import DesignError, EstimationError
 
 __all__ = [
@@ -37,8 +43,6 @@ __all__ = [
     "variance_function_generic",
     "variance_estimate",
     "variance_estimate_generic",
-    "poststratified_variance_estimate",
-    "hansen_hurwitz_variance",
 ]
 
 _CLAMP_FLOOR = -1e-10
@@ -81,13 +85,6 @@ class VarianceFunction:
         return self.grid.integrate(self.values)
 
 
-def _s2(values: np.ndarray) -> np.ndarray:
-    """Column-wise variance with the N-1 denominator; zero for a single row."""
-    if values.shape[0] < 2:
-        return np.zeros(values.shape[1])
-    return np.var(values, axis=0, ddof=1)
-
-
 def _check_rows(rows: int, expected: int, what: str):
     if rows != expected:
         raise EstimationError(
@@ -97,41 +94,23 @@ def _check_rows(rows: int, expected: int, what: str):
         )
 
 
-def variance_function(u, design: dict, grid: TimeGrid | None = None) -> VarianceFunction:
+def variance_function(u, design, grid: TimeGrid | None = None) -> VarianceFunction:
     """Population asymptotic variance under a design with closed forms.
 
     u holds the linearized variables of all N population units (at the
-    population median). Designs without closed-form pairwise inclusion
-    probabilities are refused by name.
+    population median); design is one of the designs classes. Designs
+    without closed-form pairwise inclusion probabilities are refused by
+    name.
     """
     values, grid = values_on_grid(u, grid)
-    dtype = design["type"]
-    if dtype == "srswor":
-        n_population, n = design["N"], design["n"]
-        _check_rows(values.shape[0], n_population, "SRSWOR variance")
-        factor = n_population**2 * (1.0 / n - 1.0 / n_population)
-        return VarianceFunction(factor * _s2(values), grid, "population-asymptotic", "srswor")
-    if dtype == "stratified":
-        labels, alloc, sizes = design["labels"], design["alloc"], design["sizes"]
-        _check_rows(values.shape[0], labels.size, "stratified variance")
-        out = np.zeros(grid.n_points)
-        for h, (n_h, cap) in enumerate(zip(alloc, sizes)):
-            member_values = values[labels == h]
-            out += cap**2 * (1.0 / n_h - 1.0 / cap) * _s2(member_values)
-        return VarianceFunction(out, grid, "population-asymptotic", "stratified")
-    if dtype == "poststratified":
-        n_population, n = design["N"], design["n"]
-        labels, sizes = design["labels"], design["sizes"]
-        _check_rows(values.shape[0], n_population, "poststratified variance")
-        acc = np.zeros(grid.n_points)
-        for g, size in enumerate(sizes):
-            acc += (size - 1) / (n_population - 1) * _s2(values[labels == g])
-        factor = n_population**2 * (1.0 / n - 1.0 / n_population)
-        return VarianceFunction(factor * acc, grid, "population-asymptotic", "poststratified")
-    raise DesignError(
-        f"design {dtype!r} has no closed-form asymptotic variance here; "
-        "use the generic double sum with explicit pairwise probabilities"
-    )
+    if not design.closed_form:
+        raise DesignError(
+            f"design {design.kind!r} has no closed-form asymptotic variance here; "
+            "use the generic double sum with explicit pairwise probabilities"
+        )
+    _check_rows(values.shape[0], design.N, f"{design.kind} variance")
+    out = design.population_variance(values)
+    return VarianceFunction(out, grid, "population-asymptotic", design.kind)
 
 
 def variance_function_generic(u, pi, pi_kl, grid: TimeGrid | None = None) -> VarianceFunction:
@@ -155,49 +134,22 @@ def variance_function_generic(u, pi, pi_kl, grid: TimeGrid | None = None) -> Var
     )
 
 
-def variance_estimate(draw: SampleDraw, u_hat, grid: TimeGrid | None = None) -> VarianceFunction:
-    """Design variance estimator from the sample's linearized variables.
+def variance_estimate(draw, u_hat, grid: TimeGrid | None = None) -> VarianceFunction:
+    """The drawing design's variance estimator from the sample's linearized variables.
 
     u_hat rows align with draw.units. SRSWOR and stratified use their
-    closed forms; systematic substitutes the SRSWOR formula (no unbiased
-    estimator exists) and flags the result; with-replacement PPS is
-    refused in favor of hansen_hurwitz_variance.
+    closed forms, poststratified SRSWOR the plug-in of its asymptotic form
+    and with-replacement PPS the Hansen-Hurwitz estimator; systematic
+    substitutes the SRSWOR formula (no unbiased estimator exists) and
+    flags the result.
     """
     values, grid = values_on_grid(u_hat, grid)
     _check_rows(values.shape[0], draw.n_units, "variance estimation")
-    dtype = draw.design["type"]
-    if dtype in ("srswor", "systematic"):
-        n_population, n = draw.design["N"], draw.design["n"]
-        if n < 2:
-            raise EstimationError("variance estimation needs at least two sampled units")
-        factor = n_population**2 * (1.0 / n - 1.0 / n_population)
-        return VarianceFunction(
-            factor * _s2(values),
-            grid,
-            "estimated",
-            dtype,
-            approximation="srswor-formula" if dtype == "systematic" else None,
-        )
-    if dtype == "stratified":
-        labels = draw.design["labels"][draw.units]
-        alloc, sizes = draw.design["alloc"], draw.design["sizes"]
-        out = np.zeros(grid.n_points)
-        for h, (n_h, cap) in enumerate(zip(alloc, sizes)):
-            if n_h == cap:
-                continue
-            if n_h < 2:
-                raise EstimationError(
-                    f"stratum {h} has a single sampled unit; its variance "
-                    "cannot be estimated (allocate at least 2 or take a census)"
-                )
-            out += cap**2 * (1.0 / n_h - 1.0 / cap) * _s2(values[labels == h])
-        return VarianceFunction(out, grid, "estimated", "stratified")
-    if dtype == "ppswr":
-        raise DesignError(
-            "with-replacement draws have no pairwise-inclusion estimator "
-            "here; use hansen_hurwitz_variance"
-        )
-    raise DesignError(f"unknown design type {dtype!r}")
+    design = draw.design
+    out = design.variance_estimate(draw, values)
+    return VarianceFunction(
+        out, grid, "estimated", design.kind, approximation=getattr(design, "approximation", None)
+    )
 
 
 def variance_estimate_generic(
@@ -227,57 +179,3 @@ def variance_estimate_generic(
     return VarianceFunction(
         np.clip(out, 0.0, None), grid, "estimated", "generic", clamped=clamped
     )
-
-
-def poststratified_variance_estimate(
-    draw: SampleDraw, u_hat, group_labels, group_sizes, grid: TimeGrid | None = None
-) -> VarianceFunction:
-    """Plug-in of the poststratified asymptotic form under SRSWOR.
-
-    Substitutes within-group sample variances of u_hat into
-    N^2 (1/n - 1/N) sum_g ((N_g - 1)/(N - 1)) S^2_g. Each group needs at
-    least two sampled units.
-    """
-    values, grid = values_on_grid(u_hat, grid)
-    _check_rows(values.shape[0], draw.n_units, "poststratified variance estimation")
-    if draw.design["type"] != "srswor":
-        raise DesignError("poststratified variance estimation expects an SRSWOR draw")
-    n_population, n = draw.design["N"], draw.design["n"]
-    labels = np.asarray(group_labels)[draw.units]
-    sizes = np.asarray(group_sizes)
-    acc = np.zeros(grid.n_points)
-    for g, size in enumerate(sizes):
-        in_g = values[labels == g]
-        if in_g.shape[0] < 2:
-            raise EstimationError(
-                f"group {g} has fewer than two sampled units; aggregate "
-                "small groups before estimating the variance"
-            )
-        acc += (size - 1) / (n_population - 1) * _s2(in_g)
-    factor = n_population**2 * (1.0 / n - 1.0 / n_population)
-    return VarianceFunction(factor * acc, grid, "estimated", "poststratified")
-
-
-def hansen_hurwitz_variance(
-    draw: SampleDraw, u_hat, grid: TimeGrid | None = None
-) -> VarianceFunction:
-    """With-replacement variance estimator from draw multiplicities.
-
-    Pointwise (1/(n(n-1))) sum over the n draws of
-    (u_{k_i}(t)/p_{k_i} - mean over draws)^2, where repeated draws of one
-    unit contribute through its multiplicity. u_hat rows align with
-    draw.units (the distinct drawn units).
-    """
-    values, grid = values_on_grid(u_hat, grid)
-    _check_rows(values.shape[0], draw.n_units, "Hansen-Hurwitz variance")
-    if draw.design["type"] != "ppswr" or draw.multiplicities is None:
-        raise DesignError("Hansen-Hurwitz variance needs a with-replacement draw record")
-    n = draw.design["n"]
-    if n < 2:
-        raise EstimationError("Hansen-Hurwitz variance needs at least two draws")
-    p = draw.design["p"][draw.units]
-    mult = draw.multiplicities.astype(float)
-    expanded = values / p[:, None]
-    mean = (mult @ expanded) / n
-    sq = mult @ (expanded - mean) ** 2
-    return VarianceFunction(sq / (n * (n - 1)), grid, "estimated", "ppswr")

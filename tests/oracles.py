@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from medcurve.designs import joint_inclusion
+
 
 def tensor_gamma(pop, at, weights=None, anchor_eps=1e-12):
     """The derivative operator's action matrix, summed one rank-one term per curve.
@@ -21,3 +23,13 @@ def tensor_gamma(pop, at, weights=None, anchor_eps=1e-12):
         ek = dk / rk
         a += (wk / rk) * (np.eye(d) - np.outer(ek, ek * grid.weights))
     return a
+
+
+def pi_kl_loop(design):
+    """The N x N pairwise inclusion matrix, one joint_inclusion call per entry."""
+    n_population = design.N
+    out = np.empty((n_population, n_population))
+    for k in range(n_population):
+        for l in range(n_population):
+            out[k, l] = joint_inclusion(design, k, l)
+    return out

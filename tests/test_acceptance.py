@@ -38,7 +38,7 @@ from medcurve import (
     variance_function,
     variance_function_generic,
 )
-from medcurve.designs import StrataSpec
+from medcurve.designs import Srswor, StrataSpec, Stratified
 from oracles import tensor_gamma
 
 TIGHT = SolverConfig(tol=1e-12, max_iter=5000)
@@ -301,7 +301,7 @@ def test_criterion_06_variance_cross_checks():
     grid = TimeGrid.uniform(3)
     worst = 0.0
 
-    design = {"type": "srswor", "N": 6, "n": 3}
+    design = Srswor(6, 3)
     pi = np.full(6, 0.5)
     pi_kl = pi_kl_matrix(design)
     gap = np.abs(
@@ -312,14 +312,7 @@ def test_criterion_06_variance_cross_checks():
     assert gap <= 1e-10
 
     labels = np.array([0, 0, 0, 1, 1, 1])
-    strat = {
-        "type": "stratified",
-        "N": 6,
-        "n": 3,
-        "labels": labels,
-        "alloc": np.array([1, 2]),
-        "sizes": np.array([3, 3]),
-    }
+    strat = Stratified(StrataSpec(labels), np.array([1, 2]))
     pi_s = np.where(labels == 0, 1.0 / 3.0, 2.0 / 3.0)
     gap = np.abs(
         variance_function_generic(u, pi_s, pi_kl_matrix(strat), grid).values

@@ -196,6 +196,29 @@ class TestEstimateCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("dtype", ["srswor", "ppswr"])
+    def test_single_unit_draw_is_design_error(self, toy_csv, tmp_path, capsys, dtype):
+        path, _ = toy_csv
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"type": dtype, "n": 1}))
+        out = tmp_path / "one"
+        argv = ["estimate", "--input", path, "--design", str(design), "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) == 4
+        assert "at least two sampled units" in capsys.readouterr().err
+        assert len((out / "sample.csv").read_text().splitlines()) == 2
+        assert (out / "median.csv").exists()
+        assert not (out / "variance.csv").exists()
+
+    @pytest.mark.parametrize("label", [None, {}], ids=["null", "object"])
+    def test_malformed_strata_label_is_design_error(self, toy_csv, tmp_path, capsys, label):
+        path, _ = toy_csv
+        design = tmp_path / "design.json"
+        strata = [1, label] + [2] * 8
+        design.write_text(json.dumps({"type": "stratified", "n": 4, "strata": strata}))
+        argv = ["estimate", "--input", path, "--design", str(design), "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 4
+        assert "'strata' must be a list of per-unit labels" in capsys.readouterr().err
+
     def test_stratified_design_roundtrip(self, toy_csv, tmp_path):
         path, pop = toy_csv
         labels = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1]

@@ -275,3 +275,12 @@ def test_design_json_load_and_validation(tmp_path):
     for src in ("aux", "max", ["a"], [True]):
         with pytest.raises(DesignError, match="p_source"):
             validate_design({"type": "ppswr", "n": 8, "p_source": src})
+    validate_design({"type": "poststratified", "n": 4, "strata": [1, "a", 2, -3]})
+    for dtype in ("stratified", "poststratified"):
+        for strata in ([1, None, 2, 2], [{}, 1, 2, 2], [True, 1, 2, 2], [1.5, 1, 2, 2], "1122"):
+            with pytest.raises(DesignError, match="'strata' must be a list of per-unit labels"):
+                validate_design({"type": dtype, "n": 4, "strata": strata})
+        with pytest.raises(DesignError, match="needs per-unit 'strata'"):
+            validate_design({"type": dtype, "n": 4})
+    with pytest.raises(DesignError, match="unknown design type"):
+        validate_design({"type": ["srswor"], "n": 4})

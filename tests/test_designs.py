@@ -12,8 +12,12 @@ from medcurve import CurvePopulation, TimeGrid
 from medcurve.designs import (
     HANSEN_HURWITZ,
     SRSWOR_APPROXIMATION,
+    PpsWr,
     SampleDraw,
+    Srswor,
     StrataSpec,
+    Stratified,
+    Systematic,
     draw_ppswr,
     draw_srswor,
     draw_stratified,
@@ -23,6 +27,7 @@ from medcurve.designs import (
     pps_weights_from_curves,
 )
 from medcurve.errors import DesignError
+from oracles import pi_kl_loop
 
 
 def test_srswor_census_selects_everything():
@@ -122,7 +127,7 @@ def test_stratified_census_and_pi():
     assert np.allclose(draw.pi[labels == 0], 1.0 / 3.0)
     assert np.allclose(draw.pi[labels == 1], 1.0)
     # population-level sum of pi equals n
-    alloc, sizes = draw.design["alloc"], draw.design["sizes"]
+    alloc, sizes = draw.design.alloc, draw.design.strata.sizes
     pop_pi = alloc[spec.labels] / sizes[spec.labels]
     assert pop_pi.sum() == pytest.approx(3.0, abs=1e-12)
 
@@ -192,11 +197,11 @@ def test_pps_weights_from_curves():
 
 
 def test_joint_inclusion_srswor():
-    design = {"type": "srswor", "N": 5, "n": 2}
+    design = Srswor(5, 2)
     assert joint_inclusion(design, 0, 1) == pytest.approx(0.1)
     assert joint_inclusion(design, 3, 3) == pytest.approx(0.4)
     # identity sum_{l != k} pi_kl = (n-1) pi_k on N=6, n=3
-    design = {"type": "srswor", "N": 6, "n": 3}
+    design = Srswor(6, 3)
     total = sum(joint_inclusion(design, 0, l) for l in range(1, 6))
     assert total == pytest.approx(2 * 0.5, abs=1e-12)
 
@@ -209,11 +214,11 @@ def test_joint_inclusion_stratified_and_tags():
     assert joint_inclusion(d, 0, 3) == pytest.approx((2 / 3) * (1 / 2))
     assert joint_inclusion(d, 4, 4) == pytest.approx(0.5)
 
-    sys_design = {"type": "systematic", "N": 10, "n": 2}
+    sys_design = Systematic(np.arange(10.0), 2)
     assert joint_inclusion(sys_design, 0, 5) == SRSWOR_APPROXIMATION
     assert joint_inclusion(sys_design, 4, 4) == pytest.approx(0.2)
 
-    pps_design = {"type": "ppswr", "N": 3, "n": 2, "p": np.array([0.5, 0.3, 0.2])}
+    pps_design = PpsWr(np.array([0.5, 0.3, 0.2]), 2)
     assert joint_inclusion(pps_design, 0, 2) == HANSEN_HURWITZ
     assert joint_inclusion(pps_design, 1, 1) == pytest.approx(1.0 - 0.7**2)
 
@@ -222,19 +227,38 @@ def test_joint_inclusion_stratified_and_tags():
 
 
 def test_pi_kl_matrix_closed_forms_only():
-    mat = pi_kl_matrix({"type": "srswor", "N": 4, "n": 2})
+    mat = pi_kl_matrix(Srswor(4, 2))
     assert np.allclose(np.diag(mat), 0.5)
     assert mat[0, 1] == pytest.approx(2 * 1 / (4 * 3))
     # row identity: sum_l pi_kl = pi_k + (n-1) pi_k = n pi_k
     assert np.allclose(mat.sum(axis=1), 2 * 0.5)
     with pytest.raises(DesignError, match="rule tag"):
-        pi_kl_matrix({"type": "systematic", "N": 4, "n": 2})
+        pi_kl_matrix(Systematic(np.arange(4.0), 2))
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        pytest.param(Srswor(4, 2), id="srswor-4-2"),
+        pytest.param(Srswor(6, 2), id="srswor-6-2"),
+        pytest.param(Srswor(6, 3), id="srswor-6-3"),
+        pytest.param(Srswor(1, 1), id="srswor-census-of-one"),
+        pytest.param(Srswor(6, 3, StrataSpec(np.array([0, 1, 0, 1, 1, 0]))), id="poststratified"),
+        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 1, 1, 1])), [1, 2]), id="strat-3-3"),
+        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 0, 1, 1, 1])), [2, 2]), id="strat-4-3"),
+        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 1, 1, 1, 1])), [2, 3]), id="strat-3-4"),
+        pytest.param(Stratified(StrataSpec(np.array([1, 0, 2, 1, 2, 1])), [1, 1, 2]), id="single-unit-stratum"),
+    ],
+)
+def test_pi_kl_matrix_equals_the_pairwise_loop(design):
+    # the criterion-6 and variance-test designs, plus edge cases
+    assert np.array_equal(pi_kl_matrix(design), pi_kl_loop(design))
 
 
 def test_sample_draw_validation():
     with pytest.raises(DesignError, match="ascending"):
-        SampleDraw(np.array([2, 1]), np.array([0.5, 0.5]), {"type": "srswor", "N": 4, "n": 2})
+        SampleDraw(np.array([2, 1]), np.array([0.5, 0.5]), Srswor(4, 2))
     with pytest.raises(DesignError, match="\\(0, 1\\]"):
-        SampleDraw(np.array([1, 2]), np.array([0.0, 0.5]), {"type": "srswor", "N": 4, "n": 2})
+        SampleDraw(np.array([1, 2]), np.array([0.0, 0.5]), Srswor(4, 2))
     with pytest.raises(DesignError, match="seed"):
         draw_srswor(4, 2, seed=None)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from medcurve import CurvePopulation, TimeGrid
-from medcurve.designs import StrataSpec, draw_ppswr, draw_srswor, draw_stratified
+from medcurve.designs import Srswor, StrataSpec, draw_ppswr, draw_srswor, draw_stratified
 from medcurve.errors import EstimationError
 from medcurve.estimators import (
     ht_median,
     ht_weights,
-    poststratified_median,
     poststratified_weights,
+    weighted_median,
 )
 from medcurve.solver import SolverConfig, l1_median
 
@@ -60,9 +60,9 @@ def test_pps_median_runs_on_distinct_units():
 
 def test_poststratified_single_group_is_plain_ht():
     pop = make_pop(5)
-    draw = draw_srswor(len(pop), 10, seed=11)
-    groups = StrataSpec(np.zeros(len(pop), dtype=np.int64))
-    a = poststratified_median(draw, pop, groups, cfg=TIGHT)
+    design = Srswor(len(pop), 10, StrataSpec(np.zeros(len(pop), dtype=np.int64)))
+    draw = design.draw(seed=11)
+    a = weighted_median(draw, pop, design.weights(draw), TIGHT)
     b = ht_median(draw, pop, cfg=TIGHT)
     assert np.allclose(a.median.values, b.median.values, atol=1e-9)
 
@@ -90,14 +90,13 @@ def test_exactly_proportional_groups_reduce_to_constant_weights():
 
 
 def test_empty_sampled_group_is_an_error():
-    pop = make_pop(8, n=10)
     labels = np.array([0] * 9 + [1])
     groups = StrataSpec(labels)
     for seed in range(50):
         draw = draw_srswor(10, 3, seed=seed)
         if 9 not in draw.units:
             with pytest.raises(EstimationError, match="aggregate"):
-                poststratified_median(draw, pop, groups)
+                poststratified_weights(draw, groups)
             return
     raise AssertionError("no draw missed the singleton group")
 

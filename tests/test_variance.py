@@ -12,8 +12,12 @@ import pytest
 
 from medcurve import TimeGrid
 from medcurve.designs import (
+    PpsWr,
     SampleDraw,
+    Srswor,
     StrataSpec,
+    Stratified,
+    Systematic,
     draw_ppswr,
     draw_srswor,
     draw_stratified,
@@ -22,8 +26,6 @@ from medcurve.designs import (
 from medcurve.errors import DesignError, EstimationError
 from medcurve.variance import (
     VarianceFunction,
-    hansen_hurwitz_variance,
-    poststratified_variance_estimate,
     variance_estimate,
     variance_estimate_generic,
     variance_function,
@@ -34,14 +36,14 @@ from medcurve.variance import (
 def test_census_variance_is_zero():
     grid = TimeGrid.uniform(3)
     u = np.random.default_rng(1).normal(size=(6, 3))
-    v = variance_function(u, {"type": "srswor", "N": 6, "n": 6}, grid=grid)
+    v = variance_function(u, Srswor(6, 6), grid=grid)
     assert np.allclose(v.values, 0.0)
 
 
 def test_identical_variables_give_zero_variance():
     grid = TimeGrid.uniform(4)
     u = np.tile([1.0, -2.0, 0.5, 3.0], (5, 1))
-    v = variance_function(u, {"type": "srswor", "N": 5, "n": 2}, grid=grid)
+    v = variance_function(u, Srswor(5, 2), grid=grid)
     assert np.allclose(v.values, 0.0)
 
 
@@ -49,7 +51,7 @@ def test_srswor_population_closed_form_equals_double_sum():
     rng = np.random.default_rng(7)
     grid = TimeGrid.uniform(5)
     u = rng.normal(size=(6, 5))
-    design = {"type": "srswor", "N": 6, "n": 2}
+    design = Srswor(6, 2)
     closed = variance_function(u, design, grid=grid)
     mat = pi_kl_matrix(design)
     generic = variance_function_generic(u, np.diag(mat), mat, grid=grid)
@@ -99,16 +101,9 @@ def test_proportional_stratification_beats_srswor_with_separated_means():
         [rng.normal(0.0, 0.3, size=(30, 4)), rng.normal(5.0, 0.3, size=(30, 4))]
     )
     spec = StrataSpec(np.repeat([0, 1], 30))
-    strat_design = {
-        "type": "stratified",
-        "N": 60,
-        "n": 12,
-        "labels": spec.labels,
-        "alloc": np.array([6, 6]),
-        "sizes": spec.sizes,
-    }
+    strat_design = Stratified(spec, np.array([6, 6]))
     v_strat = variance_function(u, strat_design, grid=grid)
-    v_srs = variance_function(u, {"type": "srswor", "N": 60, "n": 12}, grid=grid)
+    v_srs = variance_function(u, Srswor(60, 12), grid=grid)
     assert np.all(v_strat.values <= v_srs.values)
     assert v_strat.integrated() < 0.5 * v_srs.integrated()
 
@@ -121,24 +116,32 @@ def test_poststratified_tracks_proportional_stratification_on_larger_frames():
     )
     labels = np.repeat([0, 1], 300)
     spec = StrataSpec(labels)
-    post = variance_function(
-        u,
-        {"type": "poststratified", "N": 600, "n": 60, "labels": labels, "sizes": spec.sizes},
-        grid=grid,
-    )
-    strat = variance_function(
-        u,
-        {
-            "type": "stratified",
-            "N": 600,
-            "n": 60,
-            "labels": labels,
-            "alloc": np.array([30, 30]),
-            "sizes": spec.sizes,
-        },
-        grid=grid,
-    )
+    post = variance_function(u, Srswor(600, 60, groups=spec), grid=grid)
+    strat = variance_function(u, Stratified(spec, np.array([30, 30])), grid=grid)
     assert post.integrated() == pytest.approx(strat.integrated(), rel=0.05)
+
+
+def test_poststratified_estimator_is_the_plug_in_of_its_form():
+    rng = np.random.default_rng(37)
+    spec = StrataSpec(np.array([0, 1] * 6))
+    draw = Srswor(12, 8, groups=spec).draw(seed=4)
+    u_hat = rng.normal(size=(8, 3))
+    v = variance_estimate(draw, u_hat, grid=TimeGrid.uniform(3))
+    labels = spec.labels[draw.units]
+    within = sum(5 / 11 * np.var(u_hat[labels == g], axis=0, ddof=1) for g in (0, 1))
+    assert np.allclose(v.values, 144 * (1 / 8 - 1 / 12) * within, rtol=1e-12)
+    assert v.design == "poststratified"
+
+
+def test_systematic_estimate_is_the_flagged_srswor_formula():
+    u_hat = np.random.default_rng(41).normal(size=(3, 2))
+    draw = Systematic(np.arange(9.0), 3).draw(seed=2)
+    v = variance_estimate(draw, u_hat, grid=TimeGrid.uniform(2))
+    expected = 81 * (1 / 3 - 1 / 9) * np.var(u_hat, axis=0, ddof=1)
+    assert np.allclose(v.values, expected, rtol=1e-12)
+    assert v.approximation == "srswor-formula"
+    plain = variance_estimate(draw_srswor(9, 3, seed=2), u_hat, grid=TimeGrid.uniform(2))
+    assert plain.approximation is None
 
 
 def test_hansen_hurwitz_hand_oracle():
@@ -148,11 +151,11 @@ def test_hansen_hurwitz_hand_oracle():
     draw = SampleDraw(
         units=np.array([1, 3]),
         pi=1.0 - (1.0 - p[[1, 3]]) ** 2,
-        design={"type": "ppswr", "N": n_population, "n": 2, "p": p},
+        design=PpsWr(p, 2),
         multiplicities=np.array([1, 1]),
     )
     u_hat = np.array([[a], [-a]])
-    v = hansen_hurwitz_variance(draw, u_hat, grid=grid)
+    v = variance_estimate(draw, u_hat, grid=grid)
     assert v.values[0] == pytest.approx((n_population * a) ** 2, rel=1e-12)
 
 
@@ -162,10 +165,10 @@ def test_hansen_hurwitz_single_repeated_unit_gives_zero():
     draw = SampleDraw(
         units=np.array([0]),
         pi=np.array([1.0 - 0.4**3]),
-        design={"type": "ppswr", "N": 2, "n": 3, "p": p},
+        design=PpsWr(p, 3),
         multiplicities=np.array([3]),
     )
-    v = hansen_hurwitz_variance(draw, np.array([[1.0, 2.0]]), grid=grid)
+    v = variance_estimate(draw, np.array([[1.0, 2.0]]), grid=grid)
     assert np.allclose(v.values, 0.0)
 
 
@@ -182,7 +185,7 @@ def test_hansen_hurwitz_is_unbiased_for_the_mean_estimator_variance():
         mult = draw.multiplicities.astype(float)
         expanded = u[draw.units] / p[draw.units][:, None]
         totals.append((mult @ expanded) / 3)
-        estimates.append(hansen_hurwitz_variance(draw, u[draw.units], grid=grid).values)
+        estimates.append(variance_estimate(draw, u[draw.units], grid=grid).values)
     empirical = np.var(np.array(totals), axis=0, ddof=1)
     mean_estimate = np.mean(np.array(estimates), axis=0)
     assert np.all(np.abs(mean_estimate - empirical) <= 0.1 * empirical)
@@ -192,16 +195,11 @@ def test_error_paths():
     grid = TimeGrid.uniform(2)
     u = np.zeros((3, 2))
     with pytest.raises(DesignError, match="closed-form"):
-        variance_function(u, {"type": "systematic", "N": 3, "n": 2}, grid=grid)
+        variance_function(u, Systematic(np.arange(3.0), 2), grid=grid)
 
     draw = draw_srswor(6, 3, seed=1)
     with pytest.raises(EstimationError, match="per unit"):
         variance_estimate(draw, np.zeros((2, 2)), grid=grid)
-
-    p = np.array([0.5, 0.3, 0.2])
-    pps = draw_ppswr(p, 2, seed=1)
-    with pytest.raises(DesignError, match="hansen_hurwitz"):
-        variance_estimate(pps, np.zeros((pps.n_units, 2)), grid=grid)
 
     spec = StrataSpec(np.array([0, 0, 0, 1, 1]))
     strat = draw_stratified(spec, [1, 2], seed=2)
@@ -217,11 +215,11 @@ def test_error_paths():
     single = SampleDraw(
         units=np.array([0]),
         pi=np.array([0.6]),
-        design={"type": "ppswr", "N": 2, "n": 1, "p": np.array([0.6, 0.4])},
+        design=PpsWr(np.array([0.6, 0.4]), 1),
         multiplicities=np.array([1]),
     )
     with pytest.raises(EstimationError, match="two draws"):
-        hansen_hurwitz_variance(single, np.zeros((1, 2)), grid=grid)
+        variance_estimate(single, np.zeros((1, 2)), grid=grid)
 
 
 def test_stratified_estimator_skips_census_strata():
