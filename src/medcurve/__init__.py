@@ -63,6 +63,7 @@ from .stratify import (
 )
 from .variance import (
     VarianceFunction,
+    median_variance,
     variance_estimate,
     variance_estimate_generic,
     variance_function,

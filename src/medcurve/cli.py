@@ -15,6 +15,7 @@ flags, and seed. Exit codes: 0 success, 2 input error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,7 +54,7 @@ from .simulate import (
 )
 from .solver import SolverConfig, l1_median, objective_value
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
-from .variance import variance_estimate
+from .variance import median_variance
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -165,49 +166,18 @@ def cmd_estimate(args) -> int:
         )
         return EXIT_SOLVER
     write_curve(_out_path(args, "median.csv"), fit.median)
-
-    if draw.n_units < 2:
-        raise EstimationError(
-            "the variance needs at least two sampled units; this draw holds one"
-        )
-    sub = pop.subset(draw.units)
-    u_hat = linearized_variables(sub, fit.median, weights=weights)
-    if u_hat.values.shape[0] != draw.n_units:
-        raise EstimationError(
-            "a sampled curve coincides with the fitted median; the variance "
-            "formula is undefined for this draw"
-        )
-    var = variance_estimate(draw, u_hat)
+    var = median_variance(draw, pop, fit.median, weights)
     write_variance(_out_path(args, "variance.csv"), pop.grid, var.values)
     return EXIT_OK
-
-
-_SYNTH_FIELDS = (
-    "n_units",
-    "points_per_week",
-    "points_per_day",
-    "weeks",
-    "day_amplitude",
-    "weekend_contrast",
-    "scale_groups",
-    "scale_sigma",
-    "shape_sigma",
-    "noise_sd",
-    "outlier_frac",
-    "outlier_mag",
-    "seed",
-)
 
 
 def _load_synth_config(path: str) -> SynthConfig:
     raw = load_json(path)
     if not isinstance(raw, dict):
         raise ParseError("synthetic config must be a JSON object", path=path)
-    extra = set(raw) - set(_SYNTH_FIELDS)
+    extra = set(raw) - {f.name for f in dataclasses.fields(SynthConfig)}
     if extra:
         raise ParseError(f"unknown synthetic config field(s) {sorted(extra)}", path=path)
-    if "scale_groups" in raw:
-        raw["scale_groups"] = tuple(raw["scale_groups"])
     try:
         return SynthConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -233,7 +203,7 @@ def cmd_simulate(args) -> int:
     spec = load_simulation_designs(args.design, SUITE_NAMES)
     n_strata = spec["n_strata"] if spec["n_strata"] is not None else strata_count(args.H, "--H")
     cfg = _solver_config(args)
-    plans = standard_design_suite(aux, n=spec["n"], n_strata=n_strata, seed=seed, solver_cfg=None)
+    plans = standard_design_suite(aux, n=spec["n"], n_strata=n_strata, seed=seed)
     plans = [p for p in plans if p.name in spec["include"]]
 
     report = monte_carlo_compare(study, plans, replicates=args.reps, seed=seed, solver_cfg=cfg)

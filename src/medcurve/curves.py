@@ -228,9 +228,6 @@ class CurvePopulation:
     def __len__(self) -> int:
         return self.n_units
 
-    def curve(self, index: int) -> Curve:
-        return Curve(self.values[index], self.grid)
-
     def subset(self, indices) -> "CurvePopulation":
         indices = np.asarray(indices)
         return CurvePopulation(self.values[indices], self.grid, ids=self.ids[indices])

@@ -13,6 +13,7 @@ the values used here well below every tolerance in the test suite.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from typing import Any
 
@@ -181,7 +182,7 @@ def write_losses(path: str | os.PathLike, report) -> None:
 
 
 def _is_int(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def strata_count(value, name: str, path: str | None = None) -> int:
@@ -192,7 +193,7 @@ def strata_count(value, name: str, path: str | None = None) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_label(value) -> bool:

@@ -4,8 +4,9 @@ Units are addressed by position 0..N-1 throughout; mapping positions to
 external unit ids is the caller's business. Every draw is pure given
 (design, seed): it builds its own generator and never touches global RNG
 state. Seeds may be ints or numpy SeedSequence objects; all derived
-streams come from SeedSequence spawning, so concurrent draws with
-distinct seeds never share a stream.
+streams are SeedSequence children (child_seeds), so concurrent draws with
+distinct seeds never share a stream, and a SeedSequence passed in is
+never advanced: the same sequence gives the same draw every time.
 
 A design is one frozen object whose parameters are checked when it is
 built: Srswor (poststratified when given groups), Systematic, Stratified
@@ -36,6 +37,7 @@ __all__ = [
     "DESIGNS",
     "calibrated_weights",
     "as_seed",
+    "child_seeds",
     "draw_srswor",
     "draw_systematic",
     "draw_stratified",
@@ -59,6 +61,17 @@ def as_seed(seed) -> np.random.SeedSequence:
     if seed is None:
         raise DesignError("a seed is required; draws must be reproducible")
     return np.random.SeedSequence(seed)
+
+
+def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """The n children a first seed.spawn(n) gives, without advancing seed."""
+    parent = as_seed(seed)
+    return [
+        np.random.SeedSequence(
+            parent.entropy, spawn_key=parent.spawn_key + (i,), pool_size=parent.pool_size
+        )
+        for i in range(n)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +413,7 @@ class Stratified:
     def draw(self, seed) -> SampleDraw:
         strata = self.strata
         sizes = strata.sizes
-        children = as_seed(seed).spawn(strata.n_strata)
+        children = child_seeds(seed, strata.n_strata)
         picked = []
         for h in range(strata.n_strata):
             members = strata.members(h)

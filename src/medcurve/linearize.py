@@ -50,14 +50,14 @@ class GammaMatrix:
 
     matrix is the raw action on value vectors (apply/solve use the
     symmetrized form internally). excluded lists input positions whose
-    curves coincided with the expansion point and were left out. When the
-    spectral condition exceeded 1e12 a small diagonal ridge was added and
-    ridged is True; condition reports the pre-ridge value.
+    curves coincided with the expansion point, by the solver's one
+    coincidence rule, and were left out. When the spectral condition
+    exceeded 1e12 a small diagonal ridge was added and ridged is True;
+    condition reports the pre-ridge value.
     """
 
     matrix: np.ndarray
     grid: TimeGrid
-    at: np.ndarray
     excluded: tuple[int, ...]
     condition: float
     ridged: bool
@@ -93,21 +93,13 @@ class LinearizedSet:
     grid: TimeGrid
     gamma: GammaMatrix
 
-    def curve(self, i: int) -> Curve:
-        return Curve(self.values[i], self.grid)
 
-
-def gamma_matrix(
-    curves,
-    at: Curve | np.ndarray,
-    weights=None,
-    anchor_eps: float = 1e-12,
-) -> GammaMatrix:
+def gamma_matrix(curves, at: Curve | np.ndarray, weights=None) -> GammaMatrix:
     """Assemble the derivative operator at a point (usually a fitted median)."""
-    return _gamma_and_directions(curves, at, weights, anchor_eps)[0]
+    return _gamma_and_directions(curves, at, weights)[0]
 
 
-def _gamma_and_directions(curves, at, weights, anchor_eps):
+def _gamma_and_directions(curves, at, weights):
     """The operator, plus the unit directions e_k of the retained curves it was built from."""
     values, grid = as_matrix(curves)
     d = values.shape[1]
@@ -116,7 +108,7 @@ def _gamma_and_directions(curves, at, weights, anchor_eps):
     if point.shape != (d,):
         raise ValueError("expansion point length does not match the grid")
 
-    diffs, r, on_point = point_offsets(values, grid, point, anchor_eps)
+    diffs, r, on_point = point_offsets(values, grid, point)
     excluded = tuple(int(i) for i in np.flatnonzero(on_point))
     keep = ~on_point
     if not np.any(keep):
@@ -152,7 +144,6 @@ def _gamma_and_directions(curves, at, weights, anchor_eps):
     gamma = GammaMatrix(
         matrix=a,
         grid=grid,
-        at=point.copy(),
         excluded=excluded,
         condition=condition,
         ridged=ridged,
@@ -162,19 +153,14 @@ def _gamma_and_directions(curves, at, weights, anchor_eps):
     return gamma, e, keep
 
 
-def linearized_variables(
-    curves,
-    at: Curve | np.ndarray,
-    weights=None,
-    anchor_eps: float = 1e-12,
-) -> LinearizedSet:
+def linearized_variables(curves, at: Curve | np.ndarray, weights=None) -> LinearizedSet:
     """Compute u_k = G^{-1} e_k for every curve not coinciding with `at`.
 
     With unit weights and `at` the population median, the u_k sum to zero
     (the estimating equation pushed through G^{-1}). For a design-based
     expansion pass the sampled curves with their sampling weights.
     """
-    gamma, e, keep = _gamma_and_directions(curves, at, weights, anchor_eps)
+    gamma, e, keep = _gamma_and_directions(curves, at, weights)
     return LinearizedSet(
         values=gamma.solve(e),
         units=np.flatnonzero(keep),

@@ -30,13 +30,14 @@ from typing import Any
 import numpy as np
 
 from .curves import Curve, CurvePopulation, TimeGrid
-from .designs import DESIGNS, StrataSpec, as_seed, pps_weights_from_curves
+from .dataio import _is_int, _is_number
+from .designs import DESIGNS, StrataSpec, as_seed, child_seeds, pps_weights_from_curves
 from .errors import EstimationError, GridMismatchError, MedcurveError
 from .estimators import weighted_median
 from .linearize import linearized_variables
 from .solver import SolverConfig, l1_median
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
-from .variance import VarianceFunction, variance_estimate, variance_function
+from .variance import VarianceFunction, median_variance, variance_function
 
 __all__ = [
     "SynthConfig",
@@ -52,6 +53,10 @@ __all__ = [
     "MonteCarloReport",
     "monte_carlo_compare",
 ]
+
+# the population fits (the auxiliary week's, the study week's truth) are
+# solved this tightly, far inside the replicate fits' tolerance
+_POPULATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,27 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            least = 0 if f.name == "seed" else 1
+            if f.type == "int" and not _is_int(value, least):
+                raise ValueError(f"{f.name} must be an integer of at least {least}")
+            if f.type == "float" and not (_is_number(value) and np.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number")
+        groups = self.scale_groups
+        if not isinstance(groups, (tuple, list)) or not groups or not all(
+            _is_number(g) and g > 0 for g in groups
+        ):
+            raise ValueError("scale_groups must be a nonempty list of positive multipliers")
+        object.__setattr__(self, "scale_groups", tuple(groups))
         if self.n_units < 10:
             raise ValueError("need at least 10 units")
         if self.points_per_week % self.points_per_day != 0:
             raise ValueError("points_per_week must be divisible by points_per_day")
-        if self.weeks < 1:
-            raise ValueError("need at least one week")
         if not 0.0 <= self.outlier_frac <= 0.2:
             raise ValueError("outlier fraction must lie in [0, 0.2]")
         if not 0.0 <= self.weekend_contrast < 1.0:
             raise ValueError("weekend contrast must lie in [0, 1)")
-        if not self.scale_groups or any(g <= 0 for g in self.scale_groups):
-            raise ValueError("scale_groups must be positive multipliers")
         if self.outlier_mag <= 0 or self.day_amplitude < 0:
             raise ValueError("magnitudes must be positive")
 
@@ -248,11 +262,7 @@ SUITE_NAMES = (
 
 
 def standard_design_suite(
-    aux: CurvePopulation,
-    n: int,
-    n_strata: int = 4,
-    seed: int = 0,
-    solver_cfg: SolverConfig | None = None,
+    aux: CurvePopulation, n: int, n_strata: int = 4, seed: int = 0
 ) -> list[DesignPlan]:
     """The comparison lineup, configured from the auxiliary week.
 
@@ -262,8 +272,7 @@ def standard_design_suite(
     (proportional and optimal); poststratified SRSWOR on the k-means
     groups; and PPS with draw probabilities proportional to mean level.
     """
-    cfg = solver_cfg or SolverConfig(tol=1e-10)
-    fit = l1_median(aux, cfg=cfg)
+    fit = l1_median(aux, cfg=SolverConfig(tol=_POPULATION_TOL))
     u1 = linearized_variables(aux, fit.median)
     if u1.values.shape[0] != aux.n_units:
         raise EstimationError(
@@ -271,7 +280,7 @@ def standard_design_suite(
             "cannot build the stratification"
         )
     u_pop = CurvePopulation(u1.values, aux.grid)
-    u_strata = kmeans_strata(u_pop, n_strata, seed=as_seed(seed).spawn(1)[0])
+    u_strata = kmeans_strata(u_pop, n_strata, seed=child_seeds(seed, 1)[0])
     x_strata = quartile_strata(aux.values.max(axis=1), n_strata)
 
     stratified = [
@@ -338,21 +347,24 @@ def monte_carlo_compare(
     replicates: int,
     seed,
     solver_cfg: SolverConfig | None = None,
-    truth_tol: float = 1e-10,
 ) -> MonteCarloReport:
     """Replay each plan against the study population, one replicate at a time.
 
-    Per replicate r of plan d the draw seed is the master seed spawned at
+    Per replicate r of plan d the draw seed is the master seed's child
     (d, r), so a replicate's result does not depend on how many replicates
-    run or in what order. Replicate failures (non-convergence, estimator
-    errors) are recorded as NaN losses and counted, never raised; a plan
-    that describes no valid design raises before its replicates run.
+    run or in what order; a SeedSequence seed is not advanced, so a second
+    call with it repeats the first. Replicate failures (non-convergence,
+    estimator errors) are recorded as NaN losses and counted, never
+    raised; a plan that describes no valid design raises before its
+    replicates run. A replicate's variance is median_variance under the
+    weights its median was fitted with.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     plans = list(plans)
     cfg = solver_cfg or SolverConfig()
-    truth_fit = l1_median(study, cfg=SolverConfig(tol=truth_tol, max_iter=2000, init=cfg.init))
+    truth_cfg = SolverConfig(tol=_POPULATION_TOL, max_iter=2000, init=cfg.init)
+    truth_fit = l1_median(study, cfg=truth_cfg)
     if not truth_fit.converged:
         raise MedcurveError("population median did not converge at the truth tolerance")
     truth = truth_fit.median
@@ -366,16 +378,9 @@ def monte_carlo_compare(
             continue
         if pop_u is None:
             pop_u = linearized_variables(study, truth)
-            if pop_u.values.shape[0] != study.n_units:
-                raise EstimationError(
-                    "some units coincide with the population median; "
-                    "asymptotic variance truths are undefined"
-                )
         var_truths.append(variance_function(pop_u, design))
 
-    root = as_seed(seed)
-    design_seqs = root.spawn(len(plans))
-    rep_seeds = [ds.spawn(replicates) for ds in design_seqs]
+    rep_seeds = [child_seeds(ds, replicates) for ds in child_seeds(seed, len(plans))]
 
     losses = np.full((len(plans), replicates), np.nan)
     var_losses = np.full((len(plans), replicates), np.nan)
@@ -387,7 +392,8 @@ def monte_carlo_compare(
         for r in range(replicates):
             try:
                 draw = design.draw(rep_seeds[d][r])
-                fit = weighted_median(draw, study, design.weights(draw), cfg)
+                weights = design.weights(draw)
+                fit = weighted_median(draw, study, weights, cfg)
                 if not fit.converged:
                     est_fail[d] += 1
                     continue
@@ -398,12 +404,7 @@ def monte_carlo_compare(
             if var_truths[d] is None:
                 continue
             try:
-                sub = study.subset(draw.units)
-                u_hat = linearized_variables(sub, fit.median, weights=draw.weights)
-                if u_hat.values.shape[0] != draw.n_units:
-                    var_fail[d] += 1
-                    continue
-                v_hat = variance_estimate(draw, u_hat)
+                v_hat = median_variance(draw, study, fit.median, weights)
                 var_losses[d, r] = loss_r_variance(v_hat, var_truths[d])
             except MedcurveError:
                 var_fail[d] += 1

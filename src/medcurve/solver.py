@@ -47,6 +47,10 @@ __all__ = ["SolverConfig", "MedianFit", "l1_median", "objective_value", "score"]
 # Newton steps pay for a D x D assembly and solve; with fewer curves per
 # grid point than this, plain Weiszfeld steps reach the tolerance sooner
 _NEWTON_ROWS_PER_POINT = 3
+# a curve coincides with a point when their grid distance is at most this
+# times the data spread (the largest distance, floored at 1); the solver,
+# the score and the linearization all apply this one rule
+_ANCHOR_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,24 +60,19 @@ class SolverConfig:
     tol is relative: the fit counts as converged when the optimality gap
     (see MedianFit.residual_norm) falls below tol times the total weight.
     max_iter caps the accepted steps; a Newton step replaced by its
-    Weiszfeld fallback counts once. init is "pointwise-median", "mean", or
-    an explicit starting Curve or value vector. anchor_eps decides,
-    relative to the data spread, when an iterate is considered to coincide
-    with a data curve.
+    Weiszfeld fallback counts once. init is "pointwise-median" or an
+    explicit starting Curve or value vector.
     """
 
     tol: float = 1e-8
     max_iter: int = 500
     init: str | Curve | np.ndarray = "pointwise-median"
-    anchor_eps: float = 1e-12
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.anchor_eps < 0:
-            raise ValueError("anchor_eps must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,25 +103,23 @@ def _prepare(curves, weights):
     return values, grid, _positive_weights(weights, values.shape[0])
 
 
-def _anchor_radius(r: np.ndarray, anchor_eps: float) -> float:
+def _anchor_radius(r: np.ndarray) -> float:
     """Distance below which a curve coincides with the point, relative to the data spread."""
-    return anchor_eps * max(float(r.max()) if r.size else 0.0, 1.0)
+    return _ANCHOR_EPS * max(float(r.max()) if r.size else 0.0, 1.0)
 
 
-def point_offsets(values: np.ndarray, grid, point: np.ndarray, anchor_eps: float):
+def point_offsets(values: np.ndarray, grid, point: np.ndarray):
     """Differences Y_k - point, their grid norms, and which curves coincide with point."""
     diffs = values - point
     r = grid.norms(diffs)
-    return diffs, r, r <= _anchor_radius(r, anchor_eps)
+    return diffs, r, r <= _anchor_radius(r)
 
 
 def _initial_point(values, grid, init) -> np.ndarray:
     if isinstance(init, str):
-        if init == "pointwise-median":
-            return lower_median(values)
-        if init == "mean":
-            return values.mean(axis=0)
-        raise ValueError(f"unknown init {init!r}")
+        if init != "pointwise-median":
+            raise ValueError(f"unknown init {init!r}")
+        return lower_median(values)
     if isinstance(init, Curve):
         if not init.grid.matches(grid):
             raise ValueError("init curve is on a different grid")
@@ -208,7 +205,7 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
         np.subtract(values, y, out=diffs)
         r = np.sqrt(np.square(diffs, out=sq) @ grid.weights)
         if it == 0:
-            anchor_eps = _anchor_radius(r, cfg.anchor_eps)
+            radius = _anchor_radius(r)
         objective = float(w @ r)
         if fallback is not None and not objective - trace[-1] <= 1e-12 * trace[0]:
             # the Newton step raised the objective: take the Weiszfeld step instead
@@ -218,7 +215,7 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
             objective = float(w @ r)
         fallback = None
         trace.append(objective)
-        on_point = r <= anchor_eps
+        on_point = r <= radius
 
         eta = float(w[on_point].sum())
         anchored = eta > 0.0
@@ -285,14 +282,14 @@ def objective_value(curves, y: Curve | np.ndarray, weights=None) -> float:
     return float(w @ grid.norms(values - as_vector(y)))
 
 
-def score(curves, y: Curve | np.ndarray, weights=None, anchor_eps: float = 1e-12) -> Curve:
+def score(curves, y: Curve | np.ndarray, weights=None) -> Curve:
     """Estimating-equation value sum_k w_k (Y_k - y) / ||Y_k - y|| at y.
 
-    Curves coinciding with y (within anchor_eps relative to the data
-    spread) contribute nothing; a warning notes how many were skipped.
+    Curves coinciding with y (see _ANCHOR_EPS) contribute nothing; a
+    warning notes how many were skipped.
     """
     values, grid, w = _prepare(curves, weights)
-    diffs, r, on_point = point_offsets(values, grid, as_vector(y), anchor_eps)
+    diffs, r, on_point = point_offsets(values, grid, as_vector(y))
     if np.any(on_point):
         warnings.warn(
             f"{int(on_point.sum())} curve(s) coincide with the evaluation point "

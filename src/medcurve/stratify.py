@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TimeGrid, as_matrix, values_on_grid
-from .designs import StrataSpec, as_seed
+from .designs import StrataSpec, child_seeds
 from .errors import DesignError
 
 __all__ = [
@@ -31,6 +31,10 @@ __all__ = [
     "quartile_strata",
     "kmeans_strata",
 ]
+
+# k-means: restarts from independent k-means++ starts, and the Lloyd step cap
+_RESTARTS = 20
+_LLOYD_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,17 +190,12 @@ def quartile_strata(summary, n_strata: int = 4) -> StrataSpec:
     return StrataSpec(labels)
 
 
-def kmeans_strata(
-    curves,
-    n_strata: int,
-    seed,
-    restarts: int = 20,
-    max_iter: int = 100,
-) -> StrataSpec:
+def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
     """Cluster curves into strata by Lloyd's algorithm in the grid geometry.
 
-    Each restart draws k-means++ starting centroids from its own derived
-    seed; the partition with the lowest within-cluster sum of squared grid
+    Each of the _RESTARTS restarts draws k-means++ starting centroids from
+    its own child of seed and runs at most _LLOYD_MAX_ITER Lloyd steps;
+    the partition with the lowest within-cluster sum of squared grid
     distances wins (ties to the earliest restart). An emptied cluster is
     re-seeded at the point farthest from its centroid. Labels are
     canonicalized by first occurrence, so the result is reproducible and
@@ -210,11 +209,10 @@ def kmeans_strata(
         raise DesignError(f"need at least {n_strata} distinct curves")
     z = values * np.sqrt(grid.weights)
 
-    children = as_seed(seed).spawn(restarts)
     best_labels, best_obj = None, np.inf
-    for child in children:
+    for child in child_seeds(seed, _RESTARTS):
         rng = np.random.default_rng(child)
-        labels, obj = _lloyd(z, n_strata, rng, max_iter)
+        labels, obj = _lloyd(z, n_strata, rng)
         if best_labels is None or obj < best_obj - 1e-12 * max(best_obj, 1.0):
             best_labels, best_obj = labels, obj
 
@@ -245,10 +243,10 @@ def _plus_plus_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator):
     centroids = _plus_plus_init(z, k, rng)
     labels = np.full(z.shape[0], -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         d2 = np.sum((z[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         for j in range(k):

@@ -23,9 +23,10 @@ form built from draw multiplicities.
 Each design class in ``designs`` evaluates its own forms. This module
 holds the VarianceFunction result type, the two entry points that check
 their input and hand it to the design (variance_function for the
-population form, variance_estimate for the estimator), and the generic
-double sums that cross-check the closed forms on enumeration-scale
-frames.
+population form, variance_estimate for the estimator), median_variance,
+which linearizes a fitted draw and estimates its variance in one call,
+and the generic double sums that cross-check the closed forms on
+enumeration-scale frames.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .curves import TimeGrid, values_on_grid
 from .errors import DesignError, EstimationError
+from .linearize import linearized_variables
 
 __all__ = [
     "VarianceFunction",
@@ -43,6 +45,7 @@ __all__ = [
     "variance_function_generic",
     "variance_estimate",
     "variance_estimate_generic",
+    "median_variance",
 ]
 
 _CLAMP_FLOOR = -1e-10
@@ -150,6 +153,22 @@ def variance_estimate(draw, u_hat, grid: TimeGrid | None = None) -> VarianceFunc
     return VarianceFunction(
         out, grid, "estimated", design.kind, approximation=getattr(design, "approximation", None)
     )
+
+
+def median_variance(draw, pop, median, weights) -> VarianceFunction:
+    """The drawing design's variance estimate for a median fitted to the draw.
+
+    Linearizes the drawn curves of pop at median under the estimation
+    weights used for the fit (Deville, 1999), then applies
+    variance_estimate, which refuses a draw where a curve coincided with
+    the median and so has no linearized variable.
+    """
+    if draw.n_units < 2:
+        raise EstimationError(
+            "the variance needs at least two sampled units; this draw holds one"
+        )
+    u_hat = linearized_variables(pop.subset(draw.units), median, weights=weights)
+    return variance_estimate(draw, u_hat)
 
 
 def variance_estimate_generic(

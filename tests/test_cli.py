@@ -361,6 +361,39 @@ class TestSimulateCommand:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            pytest.param({"scale_groups": 5}, "scale_groups", id="scale_groups-number"),
+            pytest.param({"points_per_day": 0}, "points_per_day", id="points_per_day-zero"),
+            pytest.param({"weeks": 1.5}, "weeks", id="weeks-float"),
+            pytest.param({"seed": 1.5}, "seed", id="seed-float"),
+            pytest.param({"noise_sd": "a"}, "noise_sd", id="noise_sd-string"),
+            pytest.param({"colour": 1}, "colour", id="unknown-field"),
+            pytest.param([1, 2], "JSON object", id="not-an-object"),
+        ],
+    )
+    def test_bad_synthetic_config_is_input_error(self, tmp_path, capsys, config, named):
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps(config))
+        designs = tmp_path / "designs.json"
+        designs.write_text(json.dumps({"n": 10}))
+        code = main(
+            [
+                "simulate",
+                "--input",
+                str(synth),
+                "--design",
+                str(designs),
+                "--seed",
+                "1",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestStratifyCommand:
     def test_scalar_max_quartiles_on_ranked_toy(self, tmp_path):

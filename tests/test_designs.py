@@ -18,6 +18,7 @@ from medcurve.designs import (
     StrataSpec,
     Stratified,
     Systematic,
+    child_seeds,
     draw_ppswr,
     draw_srswor,
     draw_stratified,
@@ -144,6 +145,26 @@ def test_stratified_unit_frequencies():
     for k, expected in enumerate([1 / 3] * 3 + [2 / 3] * 3):
         sigma = np.sqrt(reps * expected * (1 - expected))
         assert abs(hits[k] - reps * expected) <= 4 * sigma
+
+
+def test_one_seed_sequence_gives_the_same_stratified_draw_every_time():
+    # the per-stratum streams are children of the sequence taken without
+    # advancing it, the same children an int seed gives
+    design = Stratified(StrataSpec(np.arange(20) % 2), [3, 3])
+    seq = np.random.SeedSequence(5)
+    first = design.draw(seq)
+    assert np.array_equal(design.draw(seq).units, first.units)
+    assert np.array_equal(design.draw(5).units, first.units)
+
+
+@pytest.mark.parametrize("spawn_key", [(), (3,)])
+def test_child_seeds_are_a_first_spawn_that_leaves_the_parent_alone(spawn_key):
+    parent = np.random.SeedSequence(7, spawn_key=spawn_key)
+    children = child_seeds(parent, 4)
+    assert parent.n_children_spawned == 0
+    expected = np.random.SeedSequence(7, spawn_key=spawn_key).spawn(4)
+    for got, want in zip(children, expected):
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
 
 
 def test_stratified_rejects_oversized_allocation():

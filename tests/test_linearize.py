@@ -118,6 +118,34 @@ def test_coincident_curve_is_excluded_with_a_warning():
     assert lin.values.shape == (7, 4)
 
 
+@pytest.mark.parametrize("n_units, n_points", [(12, 4), (40, 5)])
+@pytest.mark.parametrize("heavy", [None, 0.6, 1.5])
+def test_linearization_at_a_fit_excludes_exactly_its_anchor(n_units, n_points, heavy):
+    # the solver and the linearization apply one coincidence rule: at a
+    # fitted median the linearization drops the anchor curve and no other.
+    # A curve weighing 1.5 times the rest is always the median; at 0.6
+    # times the rest it is in some draws and not in others
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pop = CurvePopulation(rng.normal(size=(n_units, n_points)), TimeGrid.uniform(n_points))
+        w = rng.uniform(0.5, 2.0, size=n_units)
+        if heavy is not None:
+            k = int(rng.integers(n_units))
+            w[k] = heavy * (w.sum() - w[k])
+        fit = l1_median(pop, weights=w)
+        assert fit.converged
+        if heavy is None:
+            assert not fit.anchored
+        if heavy == 1.5:
+            assert fit.anchored and fit.anchor_index == k
+        if fit.anchored:
+            with pytest.warns(UserWarning, match="excluded from the linearization"):
+                lin = linearized_variables(pop, fit.median, weights=w)
+            assert lin.gamma.excluded == (fit.anchor_index,)
+        else:
+            assert linearized_variables(pop, fit.median, weights=w).gamma.excluded == ()
+
+
 def test_collinear_directions_force_a_ridge():
     # both curves point along one line through the expansion point, so the
     # operator annihilates that direction and needs the diagonal ridge

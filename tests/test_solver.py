@@ -89,7 +89,7 @@ def test_init_choice_does_not_change_the_answer():
     values = rng.normal(size=(30, 12)) + rng.normal(size=12)
     pop = CurvePopulation(values, TimeGrid.uniform(12))
     a = l1_median(pop, cfg=SolverConfig(tol=1e-12, init="pointwise-median"))
-    b = l1_median(pop, cfg=SolverConfig(tol=1e-12, init="mean"))
+    b = l1_median(pop, cfg=SolverConfig(tol=1e-12, init=values.mean(axis=0)))
     c = l1_median(pop, cfg=SolverConfig(tol=1e-12, init=np.zeros(12)))
     assert np.allclose(a.median.values, b.median.values, atol=1e-8)
     assert np.allclose(a.median.values, c.median.values, atol=1e-8)
@@ -321,7 +321,7 @@ def test_buffered_iteration_is_bit_identical_to_the_masked_form(n_units, n_point
         values = rng.standard_gamma(2.0, size=(n_units, n_points))
         w = rng.uniform(0.5, 2.0, size=n_units)
     pop = CurvePopulation(values, TimeGrid.uniform(values.shape[1]))
-    cfg = SolverConfig(tol=1e-12, init="mean")
+    cfg = SolverConfig(tol=1e-12, init=values.mean(axis=0))
     fit = l1_median(pop, weights=w, cfg=cfg)
     masked = masked_newton if n_units >= 3 * n_points else masked_weiszfeld
     y, gap = masked(values, pop.grid, w, values.mean(axis=0), cfg.tol, cfg.max_iter)
@@ -345,12 +345,13 @@ def test_newton_and_weiszfeld_agree_within_the_tolerance(seed, n_points, offset,
     grid = TimeGrid.from_points(np.sort(rng.uniform(0.0, 2.0, size=n_points)))
     values = rng.standard_gamma(2.0, size=(n_units, n_points)) * rng.uniform(0.5, 3.0, size=n_points)
     w = rng.uniform(0.5, 3.0, size=n_units)
-    cfg = SolverConfig(tol=1e-10, max_iter=20000, init="mean")
+    cfg = SolverConfig(tol=1e-10, max_iter=20000)
     if case == "planted":
         # a curve within 1e-6 of the median of the others; when that median
         # sits on a data curve, two curves 1e-6 apart leave Weiszfeld
         # crawling, which is no test of agreement
-        rest = l1_median(CurvePopulation(values[1:], grid), weights=w[1:], cfg=cfg)
+        rest_cfg = SolverConfig(cfg.tol, cfg.max_iter, init=values[1:].mean(axis=0))
+        rest = l1_median(CurvePopulation(values[1:], grid), weights=w[1:], cfg=rest_cfg)
         assume(not rest.anchored)
         direction = rng.normal(size=n_points)
         values[0] = rest.median.values + 1e-6 * direction / grid.norms(direction)
@@ -364,7 +365,7 @@ def test_newton_and_weiszfeld_agree_within_the_tolerance(seed, n_points, offset,
     # next to a data curve that is not the median, Weiszfeld can crawl
     # past any iteration cap; such draws compare nothing
     assume(gap <= cfg.tol * w.sum())
-    fit = l1_median(pop, weights=w, cfg=cfg)
+    fit = l1_median(pop, weights=w, cfg=SolverConfig(cfg.tol, cfg.max_iter, init=start))
     assert fit.converged and fit.residual_norm <= cfg.tol * w.sum()
 
     trace = np.array(fit.objective_trace)

@@ -132,6 +132,10 @@ def test_kmeans_is_deterministic_and_seed_dependent():
     a = kmeans_strata(pop, 3, seed=4)
     b = kmeans_strata(pop, 3, seed=4)
     assert np.array_equal(a.labels, b.labels)
+    # a SeedSequence is not advanced: each call gets the int seed's restarts
+    seq = np.random.SeedSequence(4)
+    for _ in range(2):
+        assert np.array_equal(kmeans_strata(pop, 3, seed=seq).labels, a.labels)
 
 
 def test_kmeans_duplication_invariance():

@@ -10,8 +10,9 @@ Na and -Na, mean 0, and variance estimate (1/(2*1)) * 2 (Na)^2 = N^2 a^2.
 import numpy as np
 import pytest
 
-from medcurve import TimeGrid
+from medcurve import CurvePopulation, SolverConfig, TimeGrid, linearized_variables
 from medcurve.designs import (
+    DESIGNS,
     PpsWr,
     SampleDraw,
     Srswor,
@@ -24,8 +25,10 @@ from medcurve.designs import (
     pi_kl_matrix,
 )
 from medcurve.errors import DesignError, EstimationError
+from medcurve.estimators import weighted_median
 from medcurve.variance import (
     VarianceFunction,
+    median_variance,
     variance_estimate,
     variance_estimate_generic,
     variance_function,
@@ -220,6 +223,51 @@ def test_error_paths():
     )
     with pytest.raises(EstimationError, match="two draws"):
         variance_estimate(single, np.zeros((1, 2)), grid=grid)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "srswor", "n": 12},
+        {"type": "poststratified", "n": 12, "strata": [k % 2 for k in range(60)]},
+        {"type": "systematic", "n": 12},
+        {"type": "stratified", "n": 12, "strata": [k % 3 for k in range(60)]},
+        {"type": "ppswr", "n": 12},
+    ],
+    ids=lambda spec: spec["type"],
+)
+def test_median_variance_is_the_linearize_then_estimate_composition(spec):
+    rng = np.random.default_rng(23)
+    pop = CurvePopulation(rng.gamma(3.0, size=(60, 6)), TimeGrid.uniform(6))
+    design = DESIGNS[spec["type"]][0].from_json(spec, pop)
+    draw = design.draw(4)
+    weights = design.weights(draw)
+    fit = weighted_median(draw, pop, weights, SolverConfig())
+    got = median_variance(draw, pop, fit.median, weights)
+    u_hat = linearized_variables(pop.subset(draw.units), fit.median, weights=weights)
+    want = variance_estimate(draw, u_hat)
+    assert np.array_equal(got.values, want.values)
+    assert (got.kind, got.design, got.approximation, got.clamped) == (
+        want.kind,
+        want.design,
+        want.approximation,
+        want.clamped,
+    )
+
+
+def test_median_variance_refuses_a_draw_with_a_curve_on_the_median():
+    # the single unit drawn from the 15-unit stratum weighs 15, more than
+    # the 5 census units together, so the weighted median is that curve
+    rng = np.random.default_rng(0)
+    pop = CurvePopulation(rng.normal(size=(20, 3)), TimeGrid.uniform(3))
+    design = Stratified(StrataSpec(np.repeat([0, 1], [15, 5])), [1, 5])
+    draw = design.draw(1)
+    weights = design.weights(draw)
+    fit = weighted_median(draw, pop, weights, SolverConfig())
+    assert fit.anchored
+    with pytest.warns(UserWarning, match="excluded"):
+        with pytest.raises(EstimationError, match="one linearized variable per unit"):
+            median_variance(draw, pop, fit.median, weights)
 
 
 def test_stratified_estimator_skips_census_strata():
