@@ -229,7 +229,28 @@ class CurvePopulation:
         return self.n_units
 
     def subset(self, indices) -> "CurvePopulation":
+        """The curves at the given positions, in the given order.
+
+        A strictly increasing, in-range vector of integer positions (what a
+        sample draw holds) picks distinct rows already checked here, so
+        their copies skip the constructor's checks. Any other index array
+        goes through the constructor and its errors.
+        """
         indices = np.asarray(indices)
+        if (
+            indices.ndim == 1
+            and indices.size
+            and np.issubdtype(indices.dtype, np.integer)
+            and 0 <= indices[0]
+            and indices[-1] < self.n_units
+            and np.all(indices[1:] > indices[:-1])
+        ):
+            out = object.__new__(CurvePopulation)
+            for name, rows in (("values", self.values[indices]), ("ids", self.ids[indices])):
+                rows.setflags(write=False)
+                object.__setattr__(out, name, rows)
+            object.__setattr__(out, "grid", self.grid)
+            return out
         return CurvePopulation(self.values[indices], self.grid, ids=self.ids[indices])
 
 

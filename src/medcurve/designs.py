@@ -20,6 +20,7 @@ the DesignPlan kinds, to these classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -78,8 +79,9 @@ def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
 class StrataSpec:
     """Partition of the frame into H nonempty strata.
 
-    labels holds a stratum index 0..H-1 per unit. from_labels accepts any
-    label values and canonicalizes them in sorted-unique order.
+    labels holds a stratum index 0..H-1 per unit and sizes the N_h, both
+    read-only. from_labels accepts any label values and canonicalizes them
+    in sorted-unique order.
     """
 
     labels: np.ndarray
@@ -91,14 +93,13 @@ class StrataSpec:
         if not np.issubdtype(labels.dtype, np.integer):
             raise DesignError("strata labels must be integers; use from_labels to canonicalize")
         labels = labels.astype(np.int64, copy=True)
-        h = int(labels.max()) + 1
         if labels.min() < 0:
             raise DesignError("strata labels must be non-negative")
-        sizes = np.bincount(labels, minlength=h)
+        sizes = np.bincount(labels)
         if np.any(sizes == 0):
             raise DesignError("every stratum must contain at least one unit")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        _frozen(self, "labels", labels)
+        _frozen(self, "sizes", sizes)
 
     @classmethod
     def from_labels(cls, raw) -> "StrataSpec":
@@ -112,14 +113,17 @@ class StrataSpec:
 
     @property
     def n_strata(self) -> int:
-        return int(self.labels.max()) + 1
+        return self.sizes.size
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_strata)
+    @cached_property
+    def _members(self) -> list[np.ndarray]:
+        order = np.argsort(self.labels, kind="stable")
+        order.setflags(write=False)
+        return np.split(order, np.cumsum(self.sizes)[:-1])
 
     def members(self, h: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == h)
+        """Frame positions of stratum h, ascending (read-only)."""
+        return self._members[h]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +191,20 @@ def _s2(values: np.ndarray) -> np.ndarray:
 
 def _srswor_variance(n_population: int, n: int, values: np.ndarray) -> np.ndarray:
     return n_population**2 * (1.0 / n - 1.0 / n_population) * _s2(values)
+
+
+def _group_s2(values: np.ndarray, labels: np.ndarray, n_groups: int):
+    """Rows per group, and each group's _s2 of its rows (zero below two rows).
+
+    Every group at once from one-hot products: group means, then the sums
+    of squared deviations from them.
+    """
+    onehot = (labels[:, None] == np.arange(n_groups)).astype(float)
+    counts = np.bincount(labels, minlength=n_groups)
+    means = (onehot.T @ values) / np.maximum(counts, 1)[:, None]
+    centered = values - means[labels]
+    # a lone row is its own mean, so its group's sum of squares is exactly 0
+    return counts, (onehot.T @ (centered * centered)) / np.maximum(counts - 1, 1)[:, None]
 
 
 def _ht_weights(self, draw: SampleDraw) -> np.ndarray:
@@ -272,15 +290,15 @@ class Srswor:
 
     def _grouped(self, values: np.ndarray, labels: np.ndarray, sampled: bool) -> np.ndarray:
         """N^2 (1/n - 1/N) sum_g ((N_g - 1)/(N - 1)) S^2_g over the rows given."""
-        acc = np.zeros(values.shape[1])
-        for g, size in enumerate(self.groups.sizes):
-            in_g = values[labels == g]
-            if sampled and in_g.shape[0] < 2:
-                raise EstimationError(
-                    f"group {g} has fewer than two sampled units; aggregate "
-                    "small groups before estimating the variance"
-                )
-            acc += (size - 1) / (self.N - 1) * _s2(in_g)
+        sizes = self.groups.sizes
+        counts, s2 = _group_s2(values, labels, sizes.size)
+        thin = np.flatnonzero(counts < 2)
+        if sampled and thin.size:
+            raise EstimationError(
+                f"group {int(thin[0])} has fewer than two sampled units; aggregate "
+                "small groups before estimating the variance"
+            )
+        acc = ((sizes - 1) / (self.N - 1)) @ s2
         return self.N**2 * (1.0 / self.n - 1.0 / self.N) * acc
 
     def population_variance(self, values: np.ndarray) -> np.ndarray:
@@ -448,17 +466,16 @@ class Stratified:
 
     def _strata_sum(self, values: np.ndarray, labels: np.ndarray, sampled: bool) -> np.ndarray:
         """sum_h N_h^2 (1/n_h - 1/N_h) S^2_h over the rows given; census strata add nothing."""
-        out = np.zeros(values.shape[1])
-        for h, (n_h, cap) in enumerate(zip(self.alloc, self.strata.sizes)):
-            if n_h == cap:
-                continue
-            if sampled and n_h < 2:
-                raise EstimationError(
-                    f"stratum {h} has a single sampled unit; its variance "
-                    "cannot be estimated (allocate at least 2 or take a census)"
-                )
-            out += cap**2 * (1.0 / n_h - 1.0 / cap) * _s2(values[labels == h])
-        return out
+        alloc, sizes = self.alloc, self.strata.sizes
+        drawn = alloc < sizes
+        thin = np.flatnonzero(drawn & (alloc < 2))
+        if sampled and thin.size:
+            raise EstimationError(
+                f"stratum {int(thin[0])} has a single sampled unit; its variance "
+                "cannot be estimated (allocate at least 2 or take a census)"
+            )
+        coef = np.where(drawn, sizes**2 * (1.0 / alloc - 1.0 / sizes), 0.0)
+        return coef @ _group_s2(values, labels, sizes.size)[1]
 
     def population_variance(self, values: np.ndarray) -> np.ndarray:
         return self._strata_sum(values, self.strata.labels, sampled=False)

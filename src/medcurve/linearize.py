@@ -18,18 +18,26 @@ On the value-vector side the operator is the D x D matrix
     gam[i, j] = sum_k w_k (Y_k(t_i) - m(t_i)) (Y_k(t_j) - m(t_j)) / r_k^3,
 
 with q the quadrature weights. A is similar to the symmetric positive
-semidefinite matrix sqrt(q_i) A[i, j] / sqrt(q_j), which is what the
-eigenvalue and linear-solve paths use. That matrix is assembled by
+semidefinite matrix S[i, j] = sqrt(q_i) A[i, j] / sqrt(q_j), which is
+what the eigenvalue and linear-solve paths use. S is assembled by
 `solver.scaled_operator`, the same assembly the solver's Newton steps
 use, and A is derived from it. The operator is singular exactly when
 every e_k lies on one line, the same degenerate geometry where the median
 itself can be non-unique.
+
+All u_k come from one inverse of S and one matrix product. The ridge
+decision needs the spectral condition only when the inverse cannot rule
+it out: ||S||_F ||S^-1||_F bounds the condition from above, and when the
+bound is within a tenth of the ridge threshold no eigenvalue is computed.
+Otherwise the eigenvalues decide, as they always did. The condition and
+the smallest eigenvalue are computed when first read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,30 +61,86 @@ class GammaMatrix:
     curves coincided with the expansion point, by the solver's one
     coincidence rule, and were left out. When the spectral condition
     exceeded 1e12 a small diagonal ridge was added and ridged is True;
-    condition reports the pre-ridge value.
+    condition reports the pre-ridge value. matrix, condition and
+    min_eigenvalue() are computed on first read; solve applies the
+    inverse the linearization already took.
     """
 
-    matrix: np.ndarray
     grid: TimeGrid
     excluded: tuple[int, ...]
-    condition: float
     ridged: bool
     _sym: np.ndarray
-    _sqrt_q: np.ndarray
+    _inv: np.ndarray
+    # the pre-ridge condition, known only when the eigenvalue path ran
+    _condition: float | None = None
+
+    @cached_property
+    def _sqrt_q(self) -> np.ndarray:
+        return np.sqrt(self.grid.weights)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._sym * (self._sqrt_q[None, :] / self._sqrt_q[:, None])
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self._sym)
+
+    @cached_property
+    def condition(self) -> float:
+        if self._condition is not None:
+            return self._condition
+        return _spectral_condition(self._eigenvalues)
 
     def apply(self, y) -> np.ndarray:
         return as_vector(y) @ self.matrix.T
 
     def solve(self, b) -> np.ndarray:
         """Solve G u = b; b may be a vector or a stack of rows."""
-        scaled = np.linalg.solve(self._sym, (as_vector(b) * self._sqrt_q).T).T
-        return scaled / self._sqrt_q
+        return ((as_vector(b) * self._sqrt_q) @ self._inv.T) / self._sqrt_q
 
     def symmetrized(self) -> np.ndarray:
         return self._sym.copy()
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self._sym)[0])
+        return float(self._eigenvalues[0])
+
+
+def _spectral_condition(eig: np.ndarray) -> float:
+    return float(eig[-1] / eig[0]) if eig[0] > 0 else float("inf")
+
+
+def _operator(sym: np.ndarray, grid: TimeGrid, excluded: tuple[int, ...] = ()) -> GammaMatrix:
+    """The GammaMatrix of a symmetric PSD scaled operator S, inverted once.
+
+    The ridge goes on when the spectral condition exceeds _COND_LIMIT.
+    Since that condition is at most ||S||_F ||S^-1||_F, a product within
+    _COND_LIMIT / 10 settles the decision without eigenvalues; the margin
+    keeps rounding in the eigenvalues from disagreeing with it. Anything
+    else (a singular or ill-conditioned S, a failed or non-finite inverse)
+    takes the eigenvalue rule.
+    """
+    try:
+        inv = np.linalg.inv(sym)
+    except np.linalg.LinAlgError:
+        inv = None
+    # a non-finite product fails the comparison
+    if inv is not None and np.linalg.norm(sym) * np.linalg.norm(inv) <= _COND_LIMIT / 10:
+        return GammaMatrix(grid, excluded, False, sym, inv)
+
+    condition = _spectral_condition(np.linalg.eigvalsh(sym))
+    if np.isfinite(condition) and condition <= _COND_LIMIT:
+        if inv is None:
+            inv = np.linalg.inv(sym)
+        return GammaMatrix(grid, excluded, False, sym, inv, condition)
+    d = sym.shape[0]
+    sym = sym + (_RIDGE_SCALE * float(np.trace(sym)) / d) * np.eye(d)
+    if np.linalg.eigvalsh(sym)[0] <= 0:
+        raise LinearizationError(
+            "derivative operator is numerically singular even after ridging",
+            condition=condition,
+        )
+    return GammaMatrix(grid, excluded, True, sym, np.linalg.inv(sym), condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,33 +188,7 @@ def _gamma_and_directions(curves, at, weights):
     sqrt_q = np.sqrt(grid.weights)
     diffs *= sqrt_q
     sym = scaled_operator(diffs, w[keep] / r, r)
-    sym = (sym + sym.T) / 2.0
-    a = sym * (sqrt_q[None, :] / sqrt_q[:, None])
-
-    eig = np.linalg.eigvalsh(sym)
-    condition = float(eig[-1] / eig[0]) if eig[0] > 0 else float("inf")
-    ridged = False
-    if not np.isfinite(condition) or condition > _COND_LIMIT:
-        ridge = _RIDGE_SCALE * float(np.trace(sym)) / d
-        sym = sym + ridge * np.eye(d)
-        a = a + ridge * np.eye(d)
-        ridged = True
-        eig = np.linalg.eigvalsh(sym)
-        if eig[0] <= 0:
-            raise LinearizationError(
-                "derivative operator is numerically singular even after ridging",
-                condition=condition,
-            )
-    gamma = GammaMatrix(
-        matrix=a,
-        grid=grid,
-        excluded=excluded,
-        condition=condition,
-        ridged=ridged,
-        _sym=sym,
-        _sqrt_q=sqrt_q,
-    )
-    return gamma, e, keep
+    return _operator((sym + sym.T) / 2.0, grid, excluded), e, keep
 
 
 def linearized_variables(curves, at: Curve | np.ndarray, weights=None) -> LinearizedSet:

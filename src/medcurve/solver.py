@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,9 @@ class MedianFit:
     gap dropped below tol * total weight; a fit that ran out of iterations
     comes back with converged False and the last iterate, it never raises.
     maybe_non_unique flags populations whose curves are (numerically)
-    collinear, the only geometry where the minimizer can fail to be unique.
+    collinear, the only geometry where the minimizer can fail to be unique;
+    it is computed from the fitted curves on first read, so fits whose
+    flag nobody reads skip the check.
     """
 
     median: Curve
@@ -94,8 +97,13 @@ class MedianFit:
     residual_norm: float
     anchored: bool = False
     anchor_index: int | None = None
-    maybe_non_unique: bool = False
     objective_trace: tuple = field(default=(), repr=False)
+    # the fitted (values, grid), for maybe_non_unique
+    _curves: tuple = field(default=None, repr=False)
+
+    @cached_property
+    def maybe_non_unique(self) -> bool:
+        return _collinear(*self._curves)
 
 
 def _prepare(curves, weights):
@@ -260,8 +268,6 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
             y = (1.0 - beta) * t_point + beta * y
         else:
             y = t_point
-    # release the buffers before the collinearity check builds its own N x D matrix
-    del diffs, sq
 
     converged = gap <= gap_tol
     return MedianFit(
@@ -271,8 +277,8 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
         residual_norm=gap,
         anchored=anchored and converged,
         anchor_index=anchor_index if (anchored and converged) else None,
-        maybe_non_unique=_collinear(values, grid),
         objective_trace=tuple(trace),
+        _curves=(values, grid),
     )
 
 

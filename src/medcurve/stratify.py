@@ -35,6 +35,10 @@ __all__ = [
 # k-means: restarts from independent k-means++ starts, and the Lloyd step cap
 _RESTARTS = 20
 _LLOYD_MAX_ITER = 100
+# k-means works through row blocks of about this many values (2 MB): its
+# temporaries stay bounded, and a block read for the distances is still in
+# cache when its rows are summed
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +203,22 @@ def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
     distances wins (ties to the earliest restart). An emptied cluster is
     re-seeded at the point farthest from its centroid. Labels are
     canonicalized by first occurrence, so the result is reproducible and
-    independent of internal centroid order.
+    independent of internal centroid order. Beyond the curves themselves
+    it holds one scaled copy of them and blocks of rows (see _lloyd).
     """
     values, grid = as_matrix(curves)
     n = values.shape[0]
     if n_strata < 2:
         raise DesignError("clustering into fewer than 2 strata is not meaningful")
-    if np.unique(values, axis=0).shape[0] < n_strata:
+    if _distinct_rows(values, n_strata) < n_strata:
         raise DesignError(f"need at least {n_strata} distinct curves")
     z = values * np.sqrt(grid.weights)
+    zz = np.einsum("ij,ij->i", z, z)
 
     best_labels, best_obj = None, np.inf
     for child in child_seeds(seed, _RESTARTS):
         rng = np.random.default_rng(child)
-        labels, obj = _lloyd(z, n_strata, rng)
+        labels, obj = _lloyd(z, n_strata, rng, zz)
         if best_labels is None or obj < best_obj - 1e-12 * max(best_obj, 1.0):
             best_labels, best_obj = labels, obj
 
@@ -228,38 +234,148 @@ def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
     return StrataSpec(out)
 
 
+def _distinct_rows(values: np.ndarray, limit: int) -> int:
+    """How many distinct rows values holds, counted up to limit, in row blocks."""
+    found = []
+    for rows in _row_blocks(values.shape[0], values.shape[1]):
+        block = values[rows]
+        while len(found) < limit:
+            new = np.ones(block.shape[0], dtype=bool)
+            for row in found:
+                new &= np.any(block != row, axis=1)
+            if not new.any():
+                break
+            found.append(block[np.argmax(new)])
+    return len(found)
+
+
+def _row_blocks(n: int, width: int):
+    """Row slices whose block of width values each stays near _BLOCK_VALUES."""
+    step = max(1, _BLOCK_VALUES // max(width, 1))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _exact_d2(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of z to each centroid, coordinate by coordinate.
+
+    These are the reference values: every label and objective agrees with
+    them. Rows go through in blocks, so the (rows, k, D) difference stays
+    bounded.
+    """
+    out = np.empty((z.shape[0], centroids.shape[0]))
+    for rows in _row_blocks(z.shape[0], centroids.size):
+        out[rows] = np.sum((z[rows, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return out
+
+
 def _plus_plus_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = z.shape[0]
     centroids = np.empty((k, z.shape[1]))
     centroids[0] = z[rng.integers(n)]
-    d2 = np.sum((z - centroids[0]) ** 2, axis=1)
+    d2 = _exact_d2(z, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centroids[j] = z[rng.integers(n)]
             continue
         centroids[j] = z[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((z - centroids[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _exact_d2(z, centroids[j : j + 1])[:, 0])
     return centroids
 
 
-def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator):
+def _nearest(z: np.ndarray, zz: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The index of each row's nearest centroid, first index on ties, as _exact_d2 ranks them.
+
+    The distances come from one product as |z|^2 - 2 z C^T + |c|^2. Each
+    such value, and the exact one, lies within (D + 3) eps (|z| + |c|)^2
+    of the true distance, to first order. Where a row's best and
+    second-best values are further apart than four times that, the exact
+    values rank the same centroid first; the bound below takes twice this
+    for the higher-order terms. Every other row is recomputed exactly.
+    """
+    cc = np.einsum("ij,ij->i", centroids, centroids)
+    # z times a contiguous -2 C^T takes half the time of C @ z.T at 2000 x 48;
+    # the result goes one row per centroid, so each pass below runs along z
+    d2 = np.ascontiguousarray((z @ (-2.0 * centroids).T.copy()).T)
+    d2 += zz
+    nearest = np.zeros(z.shape[0], dtype=np.int64)
+    best, second = d2[0] + cc[0], np.full(z.shape[0], np.inf)
+    for j in range(1, centroids.shape[0]):
+        dj = d2[j] + cc[j]
+        np.minimum(second, np.maximum(best, dj), out=second)
+        nearest[dj < best] = j
+        np.minimum(best, dj, out=best)
+    gap = second - best
+    bound = (np.sqrt(zz) + np.sqrt(cc.max())) ** 2
+    bound *= 8.0 * (z.shape[1] + 3) * np.finfo(float).eps
+    close = np.flatnonzero(~(gap > bound))
+    if close.size:
+        nearest[close] = np.argmin(_exact_d2(z[close], centroids), axis=1)
+    return nearest
+
+
+def _assign(z: np.ndarray, zz: np.ndarray, centroids: np.ndarray):
+    """Each row's nearest centroid (see _nearest), with each cluster's row count and row sum.
+
+    One pass over row blocks. A cluster's sum adds its rows one after
+    another in row order, carried from block to block. numpy's axis-0 sum
+    of a cluster's gathered rows adds them in that same order, so
+    sum / count is bit for bit members.mean(axis=0); the k-means tests
+    compare the two.
+    """
+    k = centroids.shape[0]
+    labels = np.empty(z.shape[0], dtype=np.int64)
+    sums = np.zeros((k, z.shape[1]))
+    counts = np.zeros(k, dtype=np.int64)
+    # row 0 carries a cluster's sum over earlier blocks, its rows here follow
+    buf = None
+    for rows in _row_blocks(z.shape[0], z.shape[1]):
+        block = z[rows]
+        if buf is None:
+            buf = np.empty((block.shape[0] + 1, z.shape[1]))
+        labels[rows] = nearest = _nearest(block, zz[rows], centroids)
+        for j in range(k):
+            members = np.flatnonzero(nearest == j)
+            m = members.size
+            if m == 0:
+                continue
+            buf[0] = sums[j]
+            np.take(block, members, axis=0, out=buf[1 : m + 1], mode="clip")
+            np.add.reduce(buf[0 if counts[j] else 1 : m + 1], axis=0, out=sums[j])
+            counts[j] += m
+    return labels, sums, counts
+
+
+def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator, zz: np.ndarray):
+    """One k-means run from a k-means++ start: (labels, objective).
+
+    zz holds the rows' squared norms. Labels are those of the exact
+    coordinate-wise distances (see _nearest), and the objective is their
+    exact sum; no step holds more than a bounded block of (rows, k, D)
+    differences. An emptied cluster is re-seeded at the row farthest from
+    its nearest centroid, by exact distances.
+    """
     centroids = _plus_plus_init(z, k, rng)
     labels = np.full(z.shape[0], -1, dtype=np.int64)
     for _ in range(_LLOYD_MAX_ITER):
-        d2 = np.sum((z[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        for j in range(k):
-            members = z[new_labels == j]
-            if members.shape[0] == 0:
-                # re-seed at the point farthest from its current centroid
-                worst = int(np.argmax(np.min(d2, axis=1)))
-                centroids[j] = z[worst]
-                new_labels[worst] = j
-            else:
-                centroids[j] = members.mean(axis=0)
+        new_labels, sums, counts = _assign(z, zz, centroids)
+        if counts.all():
+            centroids = sums / counts[:, None]
+        else:
+            # re-seed at the row farthest from this step's centroids; taking
+            # that row can empty a later cluster, which then takes it too
+            worst = int(np.argmax(np.min(_exact_d2(z, centroids), axis=1)))
+            for j in range(k):
+                members = z[new_labels == j]
+                if members.shape[0] == 0:
+                    centroids[j] = z[worst]
+                    new_labels[worst] = j
+                else:
+                    centroids[j] = members.mean(axis=0)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    d2 = np.sum((z - centroids[labels]) ** 2, axis=1)
+    d2 = np.empty(z.shape[0])
+    for rows in _row_blocks(z.shape[0], z.shape[1]):
+        d2[rows] = np.sum((z[rows] - centroids[labels[rows]]) ** 2, axis=1)
     return labels, float(d2.sum())

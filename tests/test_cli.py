@@ -63,6 +63,18 @@ class TestMedianCommand:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["converged"] is True
 
+    def test_collinear_population_is_flagged(self, tmp_path):
+        # every curve is t * (1, 2, 0.5, 1): the median may be non-unique
+        path = tmp_path / "line.csv"
+        path.write_text(
+            "id,0.125,0.375,0.625,0.875\n"
+            "1,0,0,0,0\n2,1,2,0.5,1\n3,2,4,1,2\n4,5,10,2.5,5\n5,-1,-2,-0.5,-1\n"
+        )
+        code = main(["median", "--input", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["maybe_non_unique"] is True
+
     def test_parity_with_library(self, toy_csv, tmp_path):
         path, pop = toy_csv
         out = tmp_path / "run"

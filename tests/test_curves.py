@@ -128,6 +128,68 @@ def test_population_defaults_and_subset():
         CurvePopulation(np.zeros((2, 2)), grid, ids=[1, 1])
 
 
+def _subset_outcome(make):
+    """What make() gives: the population's parts, or the raised error's type and text."""
+    try:
+        pop = make()
+    except Exception as err:  # the error itself is the outcome compared
+        return type(err), str(err)
+    return (
+        pop.values.tolist(),
+        pop.values.dtype,
+        pop.values.flags.writeable,
+        pop.ids.tolist(),
+        pop.ids.dtype,
+        pop.ids.flags.writeable,
+        pop.grid,
+    )
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [0],
+        [1, 3],
+        np.arange(5),
+        np.array([0, 2, 4], dtype=np.int32),
+        np.array([1, 4], dtype=np.uint8),
+        [2, 0],
+        [1, 1],
+        [-1, 0],
+        [-5, -1],
+        [-5, 0],
+        [0, 5],
+        [0, -6],
+        [True, False, True, False, True],
+        [True, False],
+        [0.0, 1.0],
+        [],
+        np.array([], dtype=np.int64),
+        [[0, 1]],
+        2,
+    ],
+)
+def test_subset_matches_the_full_constructor(indices):
+    grid = TimeGrid.uniform(3)
+    for ids in (None, np.array(["a", "b", "c", "d", "e"])):
+        pop = CurvePopulation(np.arange(15.0).reshape(5, 3), grid, ids=ids)
+        idx = np.asarray(indices)
+        want = _subset_outcome(lambda: CurvePopulation(pop.values[idx], grid, ids=pop.ids[idx]))
+        assert _subset_outcome(lambda: pop.subset(indices)) == want
+
+
+def test_sorted_subset_shares_the_checked_rows(monkeypatch):
+    pop = CurvePopulation(np.arange(15.0).reshape(5, 3), TimeGrid.uniform(3))
+    built = []
+    check = CurvePopulation.__post_init__
+    monkeypatch.setattr(CurvePopulation, "__post_init__", lambda self: built.append(1) or check(self))
+    sub = pop.subset(np.array([0, 3, 4]))
+    assert not built
+    assert not np.shares_memory(sub.values, pop.values)
+    pop.subset([3, 0])
+    assert built
+
+
 def test_population_values_are_readonly():
     pop = CurvePopulation(np.zeros((2, 3)), TimeGrid.uniform(3))
     with pytest.raises(ValueError):

@@ -14,11 +14,11 @@ with c = 1/r1 + 1/r2, because each rank-one term removes exactly the
 import numpy as np
 import pytest
 
-from medcurve import CurvePopulation, TimeGrid
+from medcurve import CurvePopulation, TimeGrid, linearize
 from medcurve.errors import LinearizationError
 from medcurve.linearize import gamma_matrix, linearized_variables
 from medcurve.solver import SolverConfig, l1_median, score
-from oracles import tensor_gamma
+from oracles import eigenvalue_ridge_rule, tensor_gamma
 
 
 def test_two_orthogonal_directions_hand_oracle():
@@ -170,3 +170,78 @@ def test_rejects_bad_inputs():
         gamma_matrix(pop, np.zeros(2))
     with pytest.raises(ValueError):
         gamma_matrix(pop, np.zeros(3), weights=[1.0, 1.0])
+
+
+def _spd(d, condition, seed):
+    """A symmetric PSD matrix with eigenvalues spread geometrically over the condition."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    s = (q * np.geomspace(1.0, 1.0 / condition, d)) @ q.T
+    return (s + s.T) / 2.0
+
+
+def _operators(monkeypatch):
+    """Synthetic operators with conditions 1 to 1e16 and singular ones, then two built from populations."""
+    d = 8
+    cases = [_spd(d, c, seed) for seed, c in enumerate(
+        [1.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e11, 3e11, 1e12, 3e12, 1e13, 1e14, 1e16]
+    )]
+    v = np.random.default_rng(99).normal(size=d)
+    cases += [np.diag([1.0] * (d - 1) + [0.0]), np.outer(v, v), np.zeros((d, d))]
+    grid = TimeGrid.from_points(np.cumsum(np.linspace(1.0, 2.0, d)))
+    built = [(sym, grid) for sym in cases]
+
+    # the operators the library assembles for a generic and a collinear population
+    captured = []
+    real = linearize._operator
+    monkeypatch.setattr(
+        linearize, "_operator", lambda sym, g, *rest: captured.append((sym, g)) or real(sym, g, *rest)
+    )
+    rng = np.random.default_rng(5)
+    pgrid = TimeGrid.uniform(4)
+    gamma_matrix(CurvePopulation(rng.normal(size=(20, 4)), pgrid), np.zeros(4))
+    base = np.array([1.0, -1.0, 2.0, 0.5])
+    gamma_matrix(CurvePopulation(np.outer([1.0, -2.0, 3.0], base), pgrid), np.zeros(4))
+    monkeypatch.setattr(linearize, "_operator", real)
+    return built + captured
+
+
+def test_ridge_decision_matches_the_eigenvalue_rule(monkeypatch):
+    ridged = 0
+    for sym, grid in _operators(monkeypatch):
+        try:
+            want_ridged, want_condition, used = eigenvalue_ridge_rule(sym)
+        except LinearizationError as want:
+            with pytest.raises(LinearizationError) as got:
+                linearize._operator(sym, grid)
+            assert got.value.condition == want.condition
+            continue
+        g = linearize._operator(sym, grid)
+        assert g.ridged == want_ridged
+        assert g.condition == want_condition
+        assert np.array_equal(g.symmetrized(), used)
+        assert g.min_eigenvalue() == np.linalg.eigvalsh(used)[0]
+        ridged += g.ridged
+
+        # u from the inverse agrees with an LU solve on the same operator
+        d = sym.shape[0]
+        sqrt_q = np.sqrt(grid.weights)
+        b = np.random.default_rng(d).normal(size=(6, d))
+        want_u = np.linalg.solve(used, (b * sqrt_q).T).T / sqrt_q
+        eig = np.linalg.eigvalsh(used)
+        bound = 100 * d * np.finfo(float).eps * (eig[-1] / eig[0]) * np.abs(want_u).max()
+        assert np.abs(g.solve(b) - want_u).max() <= bound
+    assert ridged >= 5
+
+
+def test_a_well_conditioned_operator_takes_no_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(21)
+    pop = CurvePopulation(rng.normal(size=(30, 5)), TimeGrid.uniform(5))
+
+    def refuse(_):
+        raise AssertionError("eigvalsh ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", refuse)
+        lin = linearized_variables(pop, np.zeros(5))
+    assert not lin.gamma.ridged
+    assert lin.gamma.condition == eigenvalue_ridge_rule(lin.gamma.symmetrized())[1]

@@ -263,6 +263,22 @@ class TestMonteCarlo:
                     assert np.array_equal(oa.variance_losses, ob.variance_losses, equal_nan=True)
                 assert oa.variance_failures == ob.variance_failures
 
+    def test_replicates_never_run_the_collinearity_check(self, monkeypatch):
+        # no replicate reads MedianFit.maybe_non_unique, so its check must not run
+        from medcurve import solver
+
+        def refuse(values, grid):
+            raise AssertionError("the collinearity check ran")
+
+        monkeypatch.setattr(solver, "_collinear", refuse)
+        pop = synth_population(small_cfg(n_units=60))
+        plans = standard_design_suite(pop.aux, n=20, n_strata=3, seed=4)
+        with warnings.catch_warnings():
+            # see test_one_seed_sequence_repeats_the_suite_and_the_comparison
+            warnings.simplefilter("ignore", UserWarning)
+            report = monte_carlo_compare(pop.study, plans, replicates=3, seed=4)
+        assert np.isfinite(report.outcome("SRSWOR").losses).all()
+
     def test_variance_losses_only_for_closed_form_designs(self):
         pop = synth_population(small_cfg(n_units=50))
         plans = [

@@ -8,16 +8,22 @@ remainder (0.840) tops up the third stratum: [716, 256, 265, 763].
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from medcurve import CurvePopulation, TimeGrid
+from medcurve import CurvePopulation, TimeGrid, stratify
 from medcurve.designs import StrataSpec
 from medcurve.errors import DesignError
 from medcurve.stratify import (
+    _distinct_rows,
+    _lloyd,
+    _nearest,
     kmeans_strata,
     optimal_allocation,
     proportional_allocation,
     quartile_strata,
 )
+from oracles import broadcast_lloyd
 
 
 def test_proportional_allocation_oracles():
@@ -172,3 +178,100 @@ def test_kmeans_preconditions():
     same = CurvePopulation(np.ones((5, 2)), TimeGrid.uniform(2))
     with pytest.raises(DesignError, match="distinct"):
         kmeans_strata(same, 3, seed=0)
+
+
+def _lloyd_pair(z, k, seed):
+    """The library's and the broadcast oracle's Lloyd runs from one seed, with the oracle's re-seeds."""
+    zz = np.einsum("ij,ij->i", z, z)
+    ours = _lloyd(z, k, np.random.default_rng(seed), zz)
+    reseeds = []
+    theirs = broadcast_lloyd(z, k, np.random.default_rng(seed), reseeds=reseeds)
+    return ours, theirs, reseeds
+
+
+@st.composite
+def kmeans_inputs(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(2, min(n, 5)))
+    if draw(st.booleans()):
+        # a few small integers: tied distances and duplicated rows
+        cells = st.integers(-2, 2).map(float)
+    else:
+        cells = st.floats(-3.0, 3.0, allow_nan=False)
+    z = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    # a shared offset far from the spread makes the Gram form cancel
+    z = z + draw(st.sampled_from([0.0, 1e3, -1e6]))
+    return z, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmeans_inputs())
+def test_lloyd_matches_the_broadcast_oracle(case):
+    z, k, seed = case
+    (labels, obj), (want_labels, want_obj), _ = _lloyd_pair(z, k, seed)
+    assert np.array_equal(labels, want_labels)
+    assert obj == want_obj
+
+
+@pytest.mark.parametrize("block_values", [64, 1 << 18])
+@pytest.mark.parametrize("seed", range(4))
+def test_lloyd_matches_the_broadcast_oracle_on_larger_frames(monkeypatch, seed, block_values):
+    # sums over hundreds of rows round differently in any other order; small
+    # blocks carry each cluster's sum across many of them
+    monkeypatch.setattr(stratify, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(600, 7)) * rng.lognormal(size=(600, 1)) + 10.0 * rng.normal(size=7)
+    (labels, obj), (want_labels, want_obj), _ = _lloyd_pair(z, 4, seed)
+    assert np.array_equal(labels, want_labels)
+    assert obj == want_obj
+
+
+@pytest.mark.parametrize("block_values", [2, 1 << 18])
+def test_lloyd_matches_the_oracle_through_an_emptied_cluster(monkeypatch, block_values):
+    # two distinct points for three centroids: k-means++ runs out of
+    # distance mass and repeats a centroid, whose cluster then empties
+    monkeypatch.setattr(stratify, "_BLOCK_VALUES", block_values)
+    z = np.repeat([[0.0, 0.0], [1.0, 2.0]], [5, 3], axis=0)
+    hit = 0
+    for seed in range(10):
+        (labels, obj), (want_labels, want_obj), reseeds = _lloyd_pair(z, 3, seed)
+        assert np.array_equal(labels, want_labels)
+        assert obj == want_obj
+        hit += bool(reseeds)
+    assert hit
+
+
+def test_nearest_recomputes_close_rows_exactly(monkeypatch):
+    # rows midway between two centroids far from the origin: the Gram
+    # form cannot rank them, so the exact distances must
+    rng = np.random.default_rng(3)
+    centroids = 1e4 + np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+    z = np.vstack(
+        [
+            1e4 + np.column_stack([np.ones(6), rng.normal(size=(6, 2)) * [0, 1]]),
+            centroids + rng.normal(scale=0.1, size=(3, 3)),
+        ]
+    )
+    recomputed = []
+    exact_d2 = stratify._exact_d2
+    monkeypatch.setattr(
+        stratify, "_exact_d2", lambda rows, c: recomputed.append(len(rows)) or exact_d2(rows, c)
+    )
+    got = _nearest(z, np.einsum("ij,ij->i", z, z), centroids)
+    want = np.argmin(np.sum((z[:, None, :] - centroids[None, :, :]) ** 2, axis=2), axis=1)
+    assert np.array_equal(got, want)
+    assert recomputed and recomputed[0] >= 6
+
+
+@pytest.mark.parametrize("block_values", [1, 5, 1 << 18])
+def test_distinct_rows_counts_what_unique_counts(monkeypatch, block_values):
+    # signed zeros are one value, as for np.unique
+    monkeypatch.setattr(stratify, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(block_values)
+    for _ in range(50):
+        n, d = rng.integers(1, 25), rng.integers(1, 4)
+        values = rng.integers(-1, 2, size=(n, d)) * rng.choice([1.0, -0.0], size=(n, d))
+        distinct = np.unique(values, axis=0).shape[0]
+        for limit in range(1, 7):
+            assert _distinct_rows(values, limit) == min(distinct, limit)
