@@ -4,8 +4,6 @@ from .curves import (
     Curve,
     CurvePopulation,
     TimeGrid,
-    inner_product,
-    mean_curve,
     norm,
     pointwise_median,
 )
@@ -22,8 +20,6 @@ from .designs import (
     draw_srswor,
     draw_stratified,
     draw_systematic,
-    joint_inclusion,
-    pi_kl_matrix,
     pps_weights_from_curves,
 )
 from .errors import (
@@ -40,13 +36,12 @@ from .estimators import (
     ht_weights,
     poststratified_weights,
 )
-from .linearize import GammaMatrix, LinearizedSet, gamma_matrix, linearized_variables
+from .linearize import GammaMatrix, LinearizedSet, linearized_variables
 from .simulate import (
     DesignPlan,
     MonteCarloReport,
     SynthConfig,
     SynthPopulation,
-    concat_weeks,
     loss_r_median,
     loss_r_variance,
     monte_carlo_compare,
@@ -65,9 +60,7 @@ from .variance import (
     VarianceFunction,
     median_variance,
     variance_estimate,
-    variance_estimate_generic,
     variance_function,
-    variance_function_generic,
 )
 
 __version__ = "0.1.0"

@@ -65,6 +65,16 @@ class _SolverFailure(MedcurveError):
     """Internal marker: the iteration stopped without meeting the tolerance."""
 
 
+# main's exit code for an error: the first entry whose types match decides
+_EXIT_CODES = (
+    ((ParseError, GridMismatchError, OSError, ValueError), EXIT_INPUT),
+    ((_SolverFailure, LinearizationError), EXIT_SOLVER),
+    ((DesignError, EstimationError), EXIT_DESIGN),
+    # remaining library failures are iteration problems (truth fit etc.)
+    (MedcurveError, EXIT_SOLVER),
+)
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -320,22 +330,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GridMismatchError) as exc:
+    except (OSError, ValueError, MedcurveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (_SolverFailure, LinearizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (DesignError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DESIGN
-    except MedcurveError as exc:
-        # remaining library failures are iteration problems (truth fit etc.)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 A curve is observed at D points t_1 < ... < t_D spanning a horizon T, and
 integrals over [0, T] are approximated by quadrature, so each curve reduces
 to a length-D value vector plus a grid carrying the quadrature weights.
-Inner products and norms below are therefore the discretized L2[0, T]
-versions. With the default uniform weights q_d = T/D and T = 1, the norm is
-the root-mean-square of the values. The horizon only rescales norms by a
+The norm below is therefore the discretized L2[0, T] norm. With the
+default uniform weights q_d = T/D and T = 1, it is the root-mean-square
+of the values. The horizon only rescales norms by a
 constant factor, which drops out of any location statistic computed from
 them (medians in particular) but does rescale variance functions; callers
 who care about absolute variance units must pick T deliberately.
@@ -23,11 +23,9 @@ __all__ = [
     "TimeGrid",
     "Curve",
     "CurvePopulation",
-    "inner_product",
     "norm",
     "pointwise_median",
     "lower_median",
-    "mean_curve",
     "as_matrix",
     "as_vector",
     "values_on_grid",
@@ -121,20 +119,12 @@ class TimeGrid:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(self.weights * a * b))
-
     def norms(self, values: np.ndarray) -> np.ndarray:
         """Grid norms along the last axis; works on single vectors and batches."""
         return np.sqrt(np.square(values) @ self.weights)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(values @ self.weights)
-
-
-def _require_same_grid(a: "Curve | CurvePopulation", b: "Curve | CurvePopulation"):
-    if not a.grid.matches(b.grid):
-        raise GridMismatchError("curves are not defined on the same time grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,23 +145,6 @@ class Curve:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("curve values must be finite")
-
-    def __add__(self, other):
-        if isinstance(other, Curve):
-            _require_same_grid(self, other)
-            return Curve(self.values + other.values, self.grid)
-        return Curve(self.values + float(other), self.grid)
-
-    def __sub__(self, other):
-        if isinstance(other, Curve):
-            _require_same_grid(self, other)
-            return Curve(self.values - other.values, self.grid)
-        return Curve(self.values - float(other), self.grid)
-
-    def __mul__(self, scalar):
-        return Curve(self.values * float(scalar), self.grid)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +183,6 @@ class CurvePopulation:
         ids = ids.copy()
         ids.setflags(write=False)
         object.__setattr__(self, "ids", ids)
-
-    @classmethod
-    def from_curves(cls, curves, ids=None) -> "CurvePopulation":
-        curves = list(curves)
-        if not curves:
-            raise ValueError("population must contain at least one curve")
-        grid = curves[0].grid
-        for c in curves[1:]:
-            _require_same_grid(curves[0], c)
-        return cls(values=np.vstack([c.values for c in curves]), grid=grid, ids=ids)
 
     @property
     def n_units(self) -> int:
@@ -264,19 +227,13 @@ def as_matrix(source) -> tuple[np.ndarray, TimeGrid]:
     if not curves:
         raise ValueError("need at least one curve")
     grid = curves[0].grid
-    for c in curves[1:]:
-        _require_same_grid(curves[0], c)
+    if not all(c.grid.matches(grid) for c in curves[1:]):
+        raise GridMismatchError("curves are not defined on the same time grid")
     return np.vstack([c.values for c in curves]), grid
 
 
-def inner_product(a: Curve, b: Curve) -> float:
-    """Quadrature inner product sum_d q_d a(t_d) b(t_d)."""
-    _require_same_grid(a, b)
-    return a.grid.inner(a.values, b.values)
-
-
 def norm(a: Curve) -> float:
-    """Grid norm sqrt(<a, a>)."""
+    """Grid norm sqrt(sum_d q_d a(t_d)^2)."""
     return float(a.grid.norms(a.values))
 
 
@@ -342,8 +299,3 @@ def lower_median(values: np.ndarray) -> np.ndarray:
     if zero.size:
         med[zero] = np.sort(values[:, zero], axis=0, kind="stable")[k]
     return med
-
-
-def mean_curve(pop: CurvePopulation) -> Curve:
-    """Coordinate-wise arithmetic mean across units."""
-    return Curve(pop.values.mean(axis=0), pop.grid)

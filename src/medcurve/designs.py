@@ -10,11 +10,11 @@ never advanced: the same sequence gives the same draw every time.
 
 A design is one frozen object whose parameters are checked when it is
 built: Srswor (poststratified when given groups), Systematic, Stratified
-or PpsWr. It owns its draw, its estimation weights, its pairwise
-inclusion rule, its closed-form population variance where one exists
-(closed_form), its variance estimator and the design-JSON fields it
-reads. DESIGNS maps the five design-JSON "type" strings, which are also
-the DesignPlan kinds, to these classes.
+or PpsWr. It owns its draw, its estimation weights, its closed-form
+population variance where one exists (closed_form), its variance
+estimator and the design-JSON fields it reads. DESIGNS maps the five
+design-JSON "type" strings, which are also the DesignPlan kinds, to
+these classes.
 """
 
 from __future__ import annotations
@@ -44,16 +44,7 @@ __all__ = [
     "draw_stratified",
     "draw_ppswr",
     "pps_weights_from_curves",
-    "joint_inclusion",
-    "pi_kl_matrix",
-    "SRSWOR_APPROXIMATION",
-    "HANSEN_HURWITZ",
 ]
-
-# rule tags returned by joint_inclusion for designs without usable pairwise
-# inclusion probabilities
-SRSWOR_APPROXIMATION = "use-SRSWOR-approximation"
-HANSEN_HURWITZ = "use-Hansen-Hurwitz"
 
 
 def as_seed(seed) -> np.random.SeedSequence:
@@ -133,7 +124,7 @@ class SampleDraw:
     units: selected distinct frame positions, ascending. pi: first-order
     inclusion probability per selected unit. design: the design object
     that drew the sample. multiplicities: PPS draw counts per distinct
-    unit, None elsewhere.
+    unit, None elsewhere. The arrays are stored read-only.
     """
 
     units: np.ndarray
@@ -152,16 +143,13 @@ class SampleDraw:
             raise DesignError("pi must align with the selected units")
         if np.any(pi <= 0) or np.any(pi > 1 + 1e-12):
             raise DesignError("inclusion probabilities must lie in (0, 1]")
-        units.setflags(write=False)
-        pi.setflags(write=False)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "pi", np.minimum(pi, 1.0))
+        _frozen(self, "units", units)
+        _frozen(self, "pi", np.minimum(pi, 1.0))
         if self.multiplicities is not None:
             mult = np.asarray(self.multiplicities, dtype=np.int64)
             if mult.shape != units.shape or np.any(mult < 1):
                 raise DesignError("multiplicities must be positive and align with units")
-            mult.setflags(write=False)
-            object.__setattr__(self, "multiplicities", mult)
+            _frozen(self, "multiplicities", mult)
 
     @property
     def n_units(self) -> int:
@@ -278,16 +266,6 @@ class Srswor:
         """1/pi_k, calibrated to the group sizes when the design has groups."""
         return draw.weights if self.groups is None else calibrated_weights(draw, self.groups)
 
-    def joint_inclusion(self, k: int, l: int) -> float:
-        if k == l:
-            return self.n / self.N
-        return self.n * (self.n - 1) / (self.N * (self.N - 1))
-
-    def pi_kl_matrix(self) -> np.ndarray:
-        out = np.full((self.N, self.N), self.n * (self.n - 1) / max(self.N * (self.N - 1), 1))
-        np.fill_diagonal(out, self.n / self.N)
-        return out
-
     def _grouped(self, values: np.ndarray, labels: np.ndarray, sampled: bool) -> np.ndarray:
         """N^2 (1/n - 1/N) sum_g ((N_g - 1)/(N - 1)) S^2_g over the rows given."""
         sizes = self.groups.sizes
@@ -375,10 +353,6 @@ class Systematic:
 
     weights = _ht_weights
 
-    def joint_inclusion(self, k: int, l: int) -> float | str:
-        """pi_k on the diagonal; pairs that never share a sample give pi_kl = 0, so the tag."""
-        return self.n / self.N if k == l else SRSWOR_APPROXIMATION
-
     def variance_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
         """The SRSWOR formula (see approximation)."""
         if self.n < 2:
@@ -442,27 +416,6 @@ class Stratified:
         return SampleDraw(units, self.alloc[labels] / sizes[labels], self)
 
     weights = _ht_weights
-
-    def joint_inclusion(self, k: int, l: int) -> float:
-        labels, alloc, sizes = self.strata.labels, self.alloc, self.strata.sizes
-        hk, hl = labels[k], labels[l]
-        pik = alloc[hk] / sizes[hk]
-        if k == l:
-            return float(pik)
-        if hk == hl:
-            n_h, cap = alloc[hk], sizes[hk]
-            return float(n_h * (n_h - 1) / (cap * (cap - 1)))
-        return float(pik * alloc[hl] / sizes[hl])
-
-    def pi_kl_matrix(self) -> np.ndarray:
-        labels, alloc, sizes = self.strata.labels, self.alloc, self.strata.sizes
-        pi = alloc[labels] / sizes[labels]
-        # a single-unit stratum has no within pairs; its 0/0 is never read
-        within = alloc * (alloc - 1) / np.maximum(sizes * (sizes - 1), 1)
-        across = pi[:, None] * alloc[labels] / sizes[labels]
-        out = np.where(labels[:, None] == labels, within[labels][:, None], across)
-        np.fill_diagonal(out, pi)
-        return out
 
     def _strata_sum(self, values: np.ndarray, labels: np.ndarray, sampled: bool) -> np.ndarray:
         """sum_h N_h^2 (1/n_h - 1/N_h) S^2_h over the rows given; census strata add nothing."""
@@ -536,10 +489,6 @@ class PpsWr:
 
     weights = _ht_weights
 
-    def joint_inclusion(self, k: int, l: int) -> float | str:
-        """pi_k on the diagonal; pairs point at the Hansen-Hurwitz estimator."""
-        return float(1.0 - (1.0 - self.p[k]) ** self.n) if k == l else HANSEN_HURWITZ
-
     def variance_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
         """Hansen-Hurwitz: (1/(n(n-1))) sum over the n draws of (u/p - mean)^2.
 
@@ -598,29 +547,3 @@ def pps_weights_from_curves(pop: CurvePopulation) -> np.ndarray:
         )
     return means / means.sum()
 
-
-def joint_inclusion(design, k: int, l: int) -> float | str:
-    """Pairwise inclusion probability, or the rule tag when none is usable.
-
-    Systematic samples give pi_kl = 0 for units that can never share a
-    sample, so the tag points at the SRSWOR approximation; with-replacement
-    PPS points at the Hansen-Hurwitz estimator.
-    """
-    for unit in (k, l):
-        if not 0 <= unit < design.N:
-            raise DesignError(f"unit {unit} outside the frame 0..{design.N - 1}")
-    return design.joint_inclusion(k, l)
-
-
-def pi_kl_matrix(design) -> np.ndarray:
-    """Full N x N pairwise inclusion matrix (diagonal = pi_k).
-
-    Only meaningful for designs with closed-form pairwise probabilities;
-    intended for small enumeration-scale checks.
-    """
-    if not design.closed_form:
-        raise DesignError(
-            f"no closed-form pairwise probabilities for {design.kind!r}; "
-            f"joint_inclusion returns the applicable rule tag"
-        )
-    return design.pi_kl_matrix()

@@ -45,7 +45,7 @@ from .curves import Curve, TimeGrid, _positive_weights, as_matrix, as_vector
 from .errors import LinearizationError
 from .solver import point_offsets, scaled_operator
 
-__all__ = ["GammaMatrix", "LinearizedSet", "gamma_matrix", "linearized_variables"]
+__all__ = ["GammaMatrix", "LinearizedSet", "linearized_variables"]
 
 # ridge kicks in past this spectral condition number
 _COND_LIMIT = 1e12
@@ -56,10 +56,10 @@ _RIDGE_SCALE = 1e-10
 class GammaMatrix:
     """Derivative of the median estimating equation at a point.
 
-    matrix is the raw action on value vectors (apply/solve use the
-    symmetrized form internally). excluded lists input positions whose
-    curves coincided with the expansion point, by the solver's one
-    coincidence rule, and were left out. When the spectral condition
+    matrix is the raw action on value vectors (solve uses the symmetrized
+    form internally). excluded lists input positions whose curves
+    coincided with the expansion point, by the solver's one coincidence
+    rule, and were left out. When the spectral condition
     exceeded 1e12 a small diagonal ridge was added and ridged is True;
     condition reports the pre-ridge value. matrix, condition and
     min_eigenvalue() are computed on first read; solve applies the
@@ -91,9 +91,6 @@ class GammaMatrix:
         if self._condition is not None:
             return self._condition
         return _spectral_condition(self._eigenvalues)
-
-    def apply(self, y) -> np.ndarray:
-        return as_vector(y) @ self.matrix.T
 
     def solve(self, b) -> np.ndarray:
         """Solve G u = b; b may be a vector or a stack of rows."""
@@ -156,11 +153,6 @@ class LinearizedSet:
     units: np.ndarray
     grid: TimeGrid
     gamma: GammaMatrix
-
-
-def gamma_matrix(curves, at: Curve | np.ndarray, weights=None) -> GammaMatrix:
-    """Assemble the derivative operator at a point (usually a fitted median)."""
-    return _gamma_and_directions(curves, at, weights)[0]
 
 
 def _gamma_and_directions(curves, at, weights):

@@ -43,7 +43,6 @@ __all__ = [
     "SynthConfig",
     "SynthPopulation",
     "synth_population",
-    "concat_weeks",
     "loss_r_median",
     "loss_r_variance",
     "DesignPlan",
@@ -164,52 +163,22 @@ def synth_population(cfg: SynthConfig) -> SynthPopulation:
     )
 
 
-def concat_weeks(*pops: CurvePopulation) -> CurvePopulation:
-    """Join weekly populations end to end on one long uniform grid.
-
-    Each input must live on the same uniform unit-horizon grid; the result
-    spans [0, W] with unchanged quadrature weights, so norms over the long
-    grid decompose into the weekly pieces.
-    """
-    if not pops:
-        raise ValueError("need at least one population")
-    d = pops[0].grid.n_points
-    for pop in pops:
-        if not pop.grid.matches(pops[0].grid):
-            raise GridMismatchError("weekly populations must share one grid")
-        if pop.n_units != pops[0].n_units:
-            raise ValueError("weekly populations must cover the same units")
-    w = len(pops)
-    grid = TimeGrid.uniform(w * d, horizon=float(w) * pops[0].grid.horizon)
-    values = np.hstack([pop.values for pop in pops])
-    return CurvePopulation(values, grid, ids=pops[0].ids)
-
-
-def _integrated_abs_error(estimate, truth, quadrature: bool) -> float:
+def _integrated_abs_error(estimate, truth) -> float:
     if not (isinstance(estimate, (Curve, VarianceFunction)) and type(truth) is type(estimate)):
         raise TypeError("loss arguments must both be Curves or both VarianceFunctions")
     if not estimate.grid.matches(truth.grid):
         raise GridMismatchError("losses need a shared grid")
-    diff = np.abs(estimate.values - truth.values)
-    if quadrature:
-        return float(estimate.grid.integrate(diff))
-    return float(diff.mean())
+    return float(np.abs(estimate.values - truth.values).mean())
 
 
-def loss_r_median(estimate: Curve, truth: Curve, quadrature: bool = False) -> float:
-    """Integrated absolute error, discretized as the plain average (1/D) sum.
-
-    quadrature=True integrates with the grid weights instead; the two
-    agree on uniform unit-horizon grids.
-    """
-    return _integrated_abs_error(estimate, truth, quadrature)
+def loss_r_median(estimate: Curve, truth: Curve) -> float:
+    """Integrated absolute error, discretized as the plain average (1/D) sum."""
+    return _integrated_abs_error(estimate, truth)
 
 
-def loss_r_variance(
-    estimate: VarianceFunction, truth: VarianceFunction, quadrature: bool = False
-) -> float:
+def loss_r_variance(estimate: VarianceFunction, truth: VarianceFunction) -> float:
     """The loss_r_median rule applied to variance functions."""
-    return _integrated_abs_error(estimate, truth, quadrature)
+    return _integrated_abs_error(estimate, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,6 +242,10 @@ def standard_design_suite(
     groups; and PPS with draw probabilities proportional to mean level.
     """
     fit = l1_median(aux, cfg=SolverConfig(tol=_POPULATION_TOL))
+    if not fit.converged:
+        raise MedcurveError(
+            "auxiliary-week median did not converge; cannot build the design suite"
+        )
     u1 = linearized_variables(aux, fit.median)
     if u1.values.shape[0] != aux.n_units:
         raise EstimationError(

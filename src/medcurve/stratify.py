@@ -207,7 +207,6 @@ def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
     it holds one scaled copy of them and blocks of rows (see _lloyd).
     """
     values, grid = as_matrix(curves)
-    n = values.shape[0]
     if n_strata < 2:
         raise DesignError("clustering into fewer than 2 strata is not meaningful")
     if _distinct_rows(values, n_strata) < n_strata:
@@ -222,16 +221,11 @@ def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
         if best_labels is None or obj < best_obj - 1e-12 * max(best_obj, 1.0):
             best_labels, best_obj = labels, obj
 
-    # canonicalize: first unit seen in a cluster fixes its label
-    canonical = np.full(n_strata, -1, dtype=np.int64)
-    next_id = 0
-    out = np.empty(n, dtype=np.int64)
-    for i, lab in enumerate(best_labels):
-        if canonical[lab] < 0:
-            canonical[lab] = next_id
-            next_id += 1
-        out[i] = canonical[lab]
-    return StrataSpec(out)
+    # canonicalize: clusters are numbered in the order their first units appear
+    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return StrataSpec(rank[inverse])
 
 
 def _distinct_rows(values: np.ndarray, limit: int) -> int:

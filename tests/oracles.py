@@ -1,8 +1,17 @@
-"""Reference implementations that several test modules compare the library against."""
+"""Reference implementations that several test modules compare the library against.
+
+Each one shares no code with what it checks: the derivative operator summed
+term by term, pairwise inclusion probabilities counted over every possible
+sample, the Horvitz-Thompson variance as an explicit double sum over pairs,
+k-means on the full difference broadcast and the ridge rule from
+eigenvalues alone.
+"""
+
+from itertools import combinations, product
 
 import numpy as np
 
-from medcurve.designs import joint_inclusion
+from medcurve.designs import Srswor, Stratified
 from medcurve.errors import LinearizationError
 
 
@@ -26,14 +35,42 @@ def tensor_gamma(pop, at, weights=None, anchor_eps=1e-12):
     return a
 
 
-def pi_kl_loop(design):
-    """The N x N pairwise inclusion matrix, one joint_inclusion call per entry."""
-    n_population = design.N
-    out = np.empty((n_population, n_population))
-    for k in range(n_population):
-        for l in range(n_population):
-            out[k, l] = joint_inclusion(design, k, l)
-    return out
+def enumerated_pi_kl(design):
+    """The N x N pairwise inclusion matrix (pi_k on the diagonal) of a tiny frame.
+
+    Lists every sample a Srswor or Stratified design can draw, all equally
+    likely, and counts how often each pair of units is drawn together.
+    """
+    if isinstance(design, Srswor):
+        samples = combinations(range(design.N), design.n)
+    elif isinstance(design, Stratified):
+        per_stratum = [
+            combinations(design.strata.members(h), int(n_h)) for h, n_h in enumerate(design.alloc)
+        ]
+        samples = (sum(parts, ()) for parts in product(*per_stratum))
+    else:
+        raise TypeError(f"no equally likely samples to list for {design.kind!r}")
+    together = np.zeros((design.N, design.N))
+    count = 0
+    for sample in samples:
+        drawn = np.zeros(design.N)
+        drawn[list(sample)] = 1.0
+        together += np.outer(drawn, drawn)
+        count += 1
+    return together / count
+
+
+def double_sum_variance(u, pi, pi_kl, sampled=False):
+    """Pointwise sum_k sum_l (pi_kl - pi_k pi_l) u_k u_l / (pi_k pi_l) over the rows of u.
+
+    sampled=True gives the variance estimator over the sampled pairs
+    instead, which also divides each pair's term by pi_kl.
+    """
+    delta = pi_kl - np.outer(pi, pi)
+    if sampled:
+        delta = delta / pi_kl
+    scaled = u / pi[:, None]
+    return np.einsum("kl,kt,lt->t", delta, scaled, scaled)
 
 
 def plus_plus_init(z, k, rng):

@@ -16,30 +16,25 @@ from medcurve import (
     SolverConfig,
     SynthConfig,
     TimeGrid,
-    concat_weeks,
     draw_ppswr,
     draw_srswor,
     draw_stratified,
     draw_systematic,
-    gamma_matrix,
     ht_median,
     l1_median,
     linearized_variables,
     monte_carlo_compare,
     objective_value,
-    pi_kl_matrix,
     pointwise_median,
     proportional_allocation,
     score,
     standard_design_suite,
     synth_population,
     variance_estimate,
-    variance_estimate_generic,
     variance_function,
-    variance_function_generic,
 )
 from medcurve.designs import Srswor, StrataSpec, Stratified
-from oracles import tensor_gamma
+from oracles import double_sum_variance, enumerated_pi_kl, tensor_gamma
 
 TIGHT = SolverConfig(tol=1e-12, max_iter=5000)
 
@@ -264,7 +259,7 @@ def test_criterion_05_gamma_consistency():
     for _ in range(20):
         pop = _random_population(rng, int(rng.integers(6, 20)), int(rng.integers(3, 7)))
         at = np.median(pop.values, axis=0)
-        integral = gamma_matrix(pop, at)
+        integral = linearized_variables(pop, at).gamma
         tensor = tensor_gamma(pop, at)
         worst_entry = max(worst_entry, np.abs(integral.matrix - tensor).max())
         assert np.abs(integral.matrix - tensor).max() <= 1e-10
@@ -291,7 +286,7 @@ def test_criterion_05_gamma_consistency():
 
 
 # --------------------------------------------------------------------------
-# 6. the generic double-sum variance equals the closed forms on tiny frames
+# 6. the double-sum variance equals the closed forms on tiny frames
 # --------------------------------------------------------------------------
 
 
@@ -303,9 +298,9 @@ def test_criterion_06_variance_cross_checks():
 
     design = Srswor(6, 3)
     pi = np.full(6, 0.5)
-    pi_kl = pi_kl_matrix(design)
+    pi_kl = enumerated_pi_kl(design)
     gap = np.abs(
-        variance_function_generic(u, pi, pi_kl, grid).values
+        double_sum_variance(u, pi, pi_kl)
         - variance_function(u, design, grid).values
     ).max()
     worst = max(worst, gap)
@@ -315,7 +310,7 @@ def test_criterion_06_variance_cross_checks():
     strat = Stratified(StrataSpec(labels), np.array([1, 2]))
     pi_s = np.where(labels == 0, 1.0 / 3.0, 2.0 / 3.0)
     gap = np.abs(
-        variance_function_generic(u, pi_s, pi_kl_matrix(strat), grid).values
+        double_sum_variance(u, pi_s, enumerated_pi_kl(strat))
         - variance_function(u, strat, grid).values
     ).max()
     worst = max(worst, gap)
@@ -324,15 +319,15 @@ def test_criterion_06_variance_cross_checks():
     # estimator side on one fixed SRSWOR draw
     draw = draw_srswor(6, 3, 77)
     u_hat = u[draw.units]
-    full = pi_kl_matrix(design)
+    full = enumerated_pi_kl(design)
     idx = np.ix_(draw.units, draw.units)
     gap = np.abs(
-        variance_estimate_generic(u_hat, draw.pi, full[idx], grid).values
+        double_sum_variance(u_hat, draw.pi, full[idx], sampled=True)
         - variance_estimate(draw, u_hat, grid).values
     ).max()
     worst = max(worst, gap)
     assert gap <= 1e-10
-    _report(6, "variance cross-checks", f"max closed-vs-generic gap {worst:.2e}")
+    _report(6, "variance cross-checks", f"max closed-vs-double-sum gap {worst:.2e}")
 
 
 # --------------------------------------------------------------------------
@@ -401,8 +396,12 @@ def test_criterion_10_two_week_contrast():
         n_units=60, points_per_week=14, points_per_day=2, weeks=2, seed=410
     )
     pop = synth_population(cfg)
-    joined = concat_weeks(pop.aux, pop.study)
     d = pop.aux.grid.n_points
+    # both weeks end to end on one grid twice as long, same weight per point
+    joined = CurvePopulation(
+        np.hstack([pop.aux.values, pop.study.values]),
+        TimeGrid.uniform(2 * d, horizon=2 * pop.aux.grid.horizon),
+    )
 
     pw_one = pointwise_median(pop.aux).values
     pw_both = pointwise_median(joined).values[:d]

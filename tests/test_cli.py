@@ -21,8 +21,17 @@ from medcurve import (
     synth_population,
     variance_estimate,
 )
+from medcurve import cli
 from medcurve.cli import main
 from medcurve.dataio import read_curves, write_curves
+from medcurve.errors import (
+    DesignError,
+    EstimationError,
+    GridMismatchError,
+    LinearizationError,
+    MedcurveError,
+    ParseError,
+)
 
 
 @pytest.fixture
@@ -530,3 +539,26 @@ def test_strata_count_exit_codes(tmp_path, capsys, command, h, code):
     assert main([*argv, "--H", h, "--seed", "1", "--out", str(tmp_path)]) == code
     if code == 2:
         assert "--H must be an integer of at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        pytest.param(ParseError("bad row", path="p.csv", line=3), 2, id="ParseError"),
+        pytest.param(GridMismatchError("grids differ"), 2, id="GridMismatchError"),
+        pytest.param(OSError("no such file"), 2, id="OSError"),
+        pytest.param(ValueError("bad value"), 2, id="ValueError"),
+        pytest.param(cli._SolverFailure("no convergence"), 3, id="_SolverFailure"),
+        pytest.param(LinearizationError("singular"), 3, id="LinearizationError"),
+        pytest.param(DesignError("bad design"), 4, id="DesignError"),
+        pytest.param(EstimationError("no estimate"), 4, id="EstimationError"),
+        pytest.param(MedcurveError("truth fit"), 3, id="MedcurveError"),
+    ],
+)
+def test_each_error_type_exits_with_its_code(monkeypatch, capsys, exc, code):
+    def stub(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_median", stub)
+    assert main(["median", "--input", "unread.csv"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"

@@ -15,11 +15,10 @@ from medcurve import (
     CurvePopulation,
     GridMismatchError,
     TimeGrid,
-    inner_product,
-    mean_curve,
     norm,
     pointwise_median,
 )
+from medcurve.curves import as_matrix
 
 
 def test_uniform_grid_weights_sum_to_horizon():
@@ -40,7 +39,7 @@ def test_inner_product_and_norm_match_hand_computation():
     grid = TimeGrid.uniform(4)
     a = Curve(np.array([1.0, 2.0, 3.0, 4.0]), grid)
     b = Curve(np.array([2.0, 0.0, 1.0, 1.0]), grid)
-    assert inner_product(a, b) == pytest.approx(2.25, abs=1e-12)
+    assert grid.integrate(a.values * b.values) == pytest.approx(2.25, abs=1e-12)
     assert norm(a) == pytest.approx(np.sqrt(7.5), abs=1e-12)
 
 
@@ -51,25 +50,13 @@ def test_constant_curve_norm_is_scaled_by_sqrt_horizon():
         assert norm(c) == pytest.approx(3.0 * np.sqrt(t), rel=1e-12)
 
 
-def test_inner_product_is_symmetric_and_bilinear():
-    rng = np.random.default_rng(7)
-    grid = TimeGrid.uniform(12)
-    a = Curve(rng.normal(size=12), grid)
-    b = Curve(rng.normal(size=12), grid)
-    c = Curve(rng.normal(size=12), grid)
-    assert inner_product(a, b) == pytest.approx(inner_product(b, a), abs=1e-14)
-    lhs = inner_product(a + 2.0 * b, c)
-    rhs = inner_product(a, c) + 2.0 * inner_product(b, c)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
 def test_cauchy_schwarz_on_random_curves():
     rng = np.random.default_rng(21)
     grid = TimeGrid.from_points(np.sort(rng.uniform(0, 3, size=9)))
     for _ in range(50):
         a = Curve(rng.normal(size=9), grid)
         b = Curve(rng.normal(size=9), grid)
-        assert abs(inner_product(a, b)) <= norm(a) * norm(b) + 1e-12
+        assert abs(grid.integrate(a.values * b.values)) <= norm(a) * norm(b) + 1e-12
 
 
 def test_from_points_equal_spacing_gets_uniform_weights():
@@ -104,16 +91,7 @@ def test_curve_requires_matching_grid_and_finite_values():
         Curve(np.array([1.0, np.nan, 2.0]), grid)
     other = TimeGrid.uniform(3, horizon=2.0)
     with pytest.raises(GridMismatchError):
-        Curve(np.zeros(3), grid) + Curve(np.zeros(3), other)
-
-
-def test_curve_arithmetic():
-    grid = TimeGrid.uniform(3)
-    a = Curve(np.array([1.0, 2.0, 3.0]), grid)
-    b = Curve(np.array([1.0, 1.0, 1.0]), grid)
-    assert np.allclose((a - b).values, [0.0, 1.0, 2.0])
-    assert np.allclose((a + 0.5).values, [1.5, 2.5, 3.5])
-    assert np.allclose((2.0 * a).values, (a * 2.0).values)
+        as_matrix([Curve(np.zeros(3), grid), Curve(np.zeros(3), other)])
 
 
 def test_population_defaults_and_subset():
@@ -240,8 +218,3 @@ def test_unit_weight_median_selects_what_the_weighted_rule_picks(n):
     weighted = pointwise_median(pop, weights=np.ones(n)).values
     assert np.array_equal(plain.view(np.int64), weighted.view(np.int64))
 
-
-def test_mean_curve():
-    grid = TimeGrid.uniform(2)
-    pop = CurvePopulation(np.array([[1.0, 0.0], [3.0, 4.0]]), grid)
-    assert np.allclose(mean_curve(pop).values, [2.0, 2.0])

@@ -10,8 +10,6 @@ import pytest
 
 from medcurve import CurvePopulation, TimeGrid
 from medcurve.designs import (
-    HANSEN_HURWITZ,
-    SRSWOR_APPROXIMATION,
     PpsWr,
     SampleDraw,
     Srswor,
@@ -23,12 +21,10 @@ from medcurve.designs import (
     draw_srswor,
     draw_stratified,
     draw_systematic,
-    joint_inclusion,
-    pi_kl_matrix,
     pps_weights_from_curves,
 )
 from medcurve.errors import DesignError
-from oracles import pi_kl_loop
+from oracles import enumerated_pi_kl
 
 
 def test_srswor_census_selects_everything():
@@ -218,62 +214,42 @@ def test_pps_weights_from_curves():
 
 
 def test_joint_inclusion_srswor():
-    design = Srswor(5, 2)
-    assert joint_inclusion(design, 0, 1) == pytest.approx(0.1)
-    assert joint_inclusion(design, 3, 3) == pytest.approx(0.4)
+    pi_kl = enumerated_pi_kl(Srswor(5, 2))
+    assert pi_kl[0, 1] == pytest.approx(0.1)
+    assert pi_kl[3, 3] == pytest.approx(0.4)
     # identity sum_{l != k} pi_kl = (n-1) pi_k on N=6, n=3
-    design = Srswor(6, 3)
-    total = sum(joint_inclusion(design, 0, l) for l in range(1, 6))
+    pi_kl = enumerated_pi_kl(Srswor(6, 3))
+    total = sum(pi_kl[0, l] for l in range(1, 6))
     assert total == pytest.approx(2 * 0.5, abs=1e-12)
 
 
-def test_joint_inclusion_stratified_and_tags():
+def test_joint_inclusion_stratified():
     spec = StrataSpec(np.array([0, 0, 0, 1, 1]))
     draw = draw_stratified(spec, [2, 1], seed=3)
-    d = draw.design
-    assert joint_inclusion(d, 0, 1) == pytest.approx(2 * 1 / (3 * 2))
-    assert joint_inclusion(d, 0, 3) == pytest.approx((2 / 3) * (1 / 2))
-    assert joint_inclusion(d, 4, 4) == pytest.approx(0.5)
-
-    sys_design = Systematic(np.arange(10.0), 2)
-    assert joint_inclusion(sys_design, 0, 5) == SRSWOR_APPROXIMATION
-    assert joint_inclusion(sys_design, 4, 4) == pytest.approx(0.2)
-
-    pps_design = PpsWr(np.array([0.5, 0.3, 0.2]), 2)
-    assert joint_inclusion(pps_design, 0, 2) == HANSEN_HURWITZ
-    assert joint_inclusion(pps_design, 1, 1) == pytest.approx(1.0 - 0.7**2)
-
-    with pytest.raises(DesignError, match="outside"):
-        joint_inclusion(sys_design, 0, 10)
+    pi_kl = enumerated_pi_kl(draw.design)
+    assert pi_kl[0, 1] == pytest.approx(2 * 1 / (3 * 2))
+    assert pi_kl[0, 3] == pytest.approx((2 / 3) * (1 / 2))
+    assert pi_kl[4, 4] == pytest.approx(0.5)
 
 
-def test_pi_kl_matrix_closed_forms_only():
-    mat = pi_kl_matrix(Srswor(4, 2))
-    assert np.allclose(np.diag(mat), 0.5)
-    assert mat[0, 1] == pytest.approx(2 * 1 / (4 * 3))
-    # row identity: sum_l pi_kl = pi_k + (n-1) pi_k = n pi_k
-    assert np.allclose(mat.sum(axis=1), 2 * 0.5)
-    with pytest.raises(DesignError, match="rule tag"):
-        pi_kl_matrix(Systematic(np.arange(4.0), 2))
-
-
-@pytest.mark.parametrize(
-    "design",
-    [
-        pytest.param(Srswor(4, 2), id="srswor-4-2"),
-        pytest.param(Srswor(6, 2), id="srswor-6-2"),
-        pytest.param(Srswor(6, 3), id="srswor-6-3"),
-        pytest.param(Srswor(1, 1), id="srswor-census-of-one"),
-        pytest.param(Srswor(6, 3, StrataSpec(np.array([0, 1, 0, 1, 1, 0]))), id="poststratified"),
-        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 1, 1, 1])), [1, 2]), id="strat-3-3"),
-        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 0, 1, 1, 1])), [2, 2]), id="strat-4-3"),
-        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 1, 1, 1, 1])), [2, 3]), id="strat-3-4"),
-        pytest.param(Stratified(StrataSpec(np.array([1, 0, 2, 1, 2, 1])), [1, 1, 2]), id="single-unit-stratum"),
-    ],
-)
-def test_pi_kl_matrix_equals_the_pairwise_loop(design):
-    # the criterion-6 and variance-test designs, plus edge cases
-    assert np.array_equal(pi_kl_matrix(design), pi_kl_loop(design))
+def test_draw_arrays_are_read_only():
+    p = np.array([0.2, 0.3, 0.5])
+    draws = [
+        Srswor(10, 4).draw(1),
+        Systematic(np.arange(10.0), 4).draw(1),
+        Stratified(StrataSpec(np.repeat([0, 1], 5)), [2, 2]).draw(1),
+        PpsWr(np.full(10, 0.1), 4).draw(1),
+        SampleDraw([1, 3], [0.5, 0.5], Srswor(4, 2)),
+        SampleDraw(np.array([0, 2]), 1.0 - (1.0 - p[[0, 2]]) ** 2, PpsWr(p, 2), np.array([1, 1])),
+    ]
+    assert draws[3].multiplicities is not None
+    for draw in draws:
+        arrays = [draw.units, draw.pi]
+        if draw.multiplicities is not None:
+            arrays.append(draw.multiplicities)
+        for values in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = values[0]
 
 
 def test_sample_draw_validation():

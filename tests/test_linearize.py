@@ -16,7 +16,7 @@ import pytest
 
 from medcurve import CurvePopulation, TimeGrid, linearize
 from medcurve.errors import LinearizationError
-from medcurve.linearize import gamma_matrix, linearized_variables
+from medcurve.linearize import linearized_variables
 from medcurve.solver import SolverConfig, l1_median, score
 from oracles import eigenvalue_ridge_rule, tensor_gamma
 
@@ -24,10 +24,10 @@ from oracles import eigenvalue_ridge_rule, tensor_gamma
 def test_two_orthogonal_directions_hand_oracle():
     grid = TimeGrid.uniform(2)
     pop = CurvePopulation(np.array([[1.0, 0.0], [0.0, 2.0]]), grid)
-    g = gamma_matrix(pop, np.zeros(2))
+    g = linearized_variables(pop, np.zeros(2)).gamma
     r1, r2 = np.sqrt(0.5), np.sqrt(2.0)
     assert np.allclose(g.matrix, np.diag([1.0 / r2, 1.0 / r1]), atol=1e-14)
-    assert np.allclose(g.apply(np.array([1.0, 1.0])), [1.0 / r2, 1.0 / r1], atol=1e-14)
+    assert np.allclose(np.array([1.0, 1.0]) @ g.matrix.T, [1.0 / r2, 1.0 / r1], atol=1e-14)
     # G u = e1 with e1 = (sqrt(2), 0) gives u = (sqrt(2) * r2, 0) = (2, 0)
     u = g.solve(np.array([np.sqrt(2.0), 0.0]))
     assert np.allclose(u, [2.0, 0.0], atol=1e-12)
@@ -39,7 +39,7 @@ def test_assembly_forms_agree_entrywise():
     pop = CurvePopulation(rng.normal(size=(15, 7)), grid)
     point = rng.normal(size=7)
     w = rng.uniform(0.5, 3.0, size=15)
-    a = gamma_matrix(pop, point, weights=w)
+    a = linearized_variables(pop, point, weights=w).gamma
     b = tensor_gamma(pop, point, weights=w)
     scale = np.abs(a.matrix).max()
     assert np.max(np.abs(a.matrix - b)) <= 1e-12 * scale
@@ -48,7 +48,7 @@ def test_assembly_forms_agree_entrywise():
 def test_operator_is_positive_definite_for_generic_curves():
     rng = np.random.default_rng(13)
     pop = CurvePopulation(rng.normal(size=(12, 5)), TimeGrid.uniform(5))
-    g = gamma_matrix(pop, rng.normal(size=5))
+    g = linearized_variables(pop, rng.normal(size=5)).gamma
     assert g.min_eigenvalue() > 0
     assert not g.ridged
     assert np.isfinite(g.condition)
@@ -57,10 +57,10 @@ def test_operator_is_positive_definite_for_generic_curves():
 def test_solve_inverts_apply():
     rng = np.random.default_rng(19)
     pop = CurvePopulation(rng.normal(size=(10, 6)), TimeGrid.uniform(6, horizon=3.0))
-    g = gamma_matrix(pop, np.zeros(6))
+    g = linearized_variables(pop, np.zeros(6)).gamma
     b = rng.normal(size=(4, 6))
-    assert np.allclose(g.apply(g.solve(b)), b, atol=1e-10)
-    assert np.allclose(g.solve(g.apply(b)), b, atol=1e-10)
+    assert np.allclose(g.solve(b) @ g.matrix.T, b, atol=1e-10)
+    assert np.allclose(g.solve(b @ g.matrix.T), b, atol=1e-10)
 
 
 def test_matches_finite_differences_of_the_score():
@@ -68,14 +68,14 @@ def test_matches_finite_differences_of_the_score():
     grid = TimeGrid.uniform(5)
     pop = CurvePopulation(rng.normal(size=(20, 5)), grid)
     point = rng.normal(size=5)
-    g = gamma_matrix(pop, point)
+    g = linearized_variables(pop, point).gamma
     eps = 1e-6
     for _ in range(5):
         v = rng.normal(size=5)
         plus = score(pop, point + eps * v).values
         minus = score(pop, point - eps * v).values
         fd = (minus - plus) / (2.0 * eps)
-        assert np.allclose(g.apply(v), fd, atol=1e-5 * max(1.0, float(grid.norms(fd))))
+        assert np.allclose(v @ g.matrix.T, fd, atol=1e-5 * max(1.0, float(grid.norms(fd))))
 
 
 def test_linearized_variables_sum_to_zero_at_the_median():
@@ -91,7 +91,7 @@ def test_linearized_variables_sum_to_zero_at_the_median():
     # each u_k solves G u = e_k
     diffs = pop.values - fit.median.values
     e = diffs / pop.grid.norms(diffs)[:, None]
-    assert np.allclose(lin.gamma.apply(lin.values), e, atol=1e-9)
+    assert np.allclose(lin.values @ lin.gamma.matrix.T, e, atol=1e-9)
 
 
 def test_weighted_variables_sum_to_zero_at_the_weighted_median():
@@ -152,7 +152,7 @@ def test_collinear_directions_force_a_ridge():
     grid = TimeGrid.uniform(3)
     base = np.array([1.0, -1.0, 2.0])
     pop = CurvePopulation(np.vstack([base, -2.0 * base]), grid)
-    g = gamma_matrix(pop, np.zeros(3))
+    g = linearized_variables(pop, np.zeros(3)).gamma
     assert g.ridged
     assert g.min_eigenvalue() > 0
 
@@ -161,15 +161,15 @@ def test_all_curves_on_the_point_is_an_error():
     grid = TimeGrid.uniform(2)
     pop = CurvePopulation(np.array([[1.0, 1.0], [1.0, 1.0]]), grid, ids=[1, 2])
     with pytest.raises(LinearizationError):
-        gamma_matrix(pop, np.array([1.0, 1.0]))
+        linearized_variables(pop, np.array([1.0, 1.0]))
 
 
 def test_rejects_bad_inputs():
     pop = CurvePopulation(np.eye(3), TimeGrid.uniform(3))
     with pytest.raises(ValueError):
-        gamma_matrix(pop, np.zeros(2))
+        linearized_variables(pop, np.zeros(2))
     with pytest.raises(ValueError):
-        gamma_matrix(pop, np.zeros(3), weights=[1.0, 1.0])
+        linearized_variables(pop, np.zeros(3), weights=[1.0, 1.0])
 
 
 def _spd(d, condition, seed):
@@ -198,9 +198,9 @@ def _operators(monkeypatch):
     )
     rng = np.random.default_rng(5)
     pgrid = TimeGrid.uniform(4)
-    gamma_matrix(CurvePopulation(rng.normal(size=(20, 4)), pgrid), np.zeros(4))
+    linearized_variables(CurvePopulation(rng.normal(size=(20, 4)), pgrid), np.zeros(4))
     base = np.array([1.0, -1.0, 2.0, 0.5])
-    gamma_matrix(CurvePopulation(np.outer([1.0, -2.0, 3.0], base), pgrid), np.zeros(4))
+    linearized_variables(CurvePopulation(np.outer([1.0, -2.0, 3.0], base), pgrid), np.zeros(4))
     monkeypatch.setattr(linearize, "_operator", real)
     return built + captured
 

@@ -1,5 +1,6 @@
 """Tests for the synthetic generator and the Monte Carlo harness."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,15 +8,14 @@ import pytest
 
 from medcurve import (
     Curve,
-    CurvePopulation,
     SolverConfig,
     TimeGrid,
 )
-from medcurve.errors import GridMismatchError
+from medcurve import simulate
+from medcurve.errors import GridMismatchError, MedcurveError
 from medcurve.simulate import (
     DesignPlan,
     SynthConfig,
-    concat_weeks,
     loss_r_median,
     loss_r_variance,
     monte_carlo_compare,
@@ -113,25 +113,6 @@ class TestSynthPopulation:
             small_cfg(scale_groups=())
 
 
-class TestConcatWeeks:
-    def test_two_weeks_join_end_to_end(self):
-        grid = TimeGrid.uniform(4)
-        a = CurvePopulation(np.arange(8.0).reshape(2, 4), grid)
-        b = CurvePopulation(np.arange(8.0, 16.0).reshape(2, 4), grid)
-        joined = concat_weeks(a, b)
-        assert joined.grid.n_points == 8
-        assert joined.grid.horizon == 2.0
-        # quadrature weights stay 1/4 per point, so weekly norms add up
-        assert np.allclose(joined.grid.weights, 0.25)
-        assert np.array_equal(joined.values[0], np.r_[a.values[0], b.values[0]])
-
-    def test_grid_mismatch_rejected(self):
-        a = CurvePopulation(np.ones((2, 4)), TimeGrid.uniform(4))
-        b = CurvePopulation(np.ones((2, 5)), TimeGrid.uniform(5))
-        with pytest.raises(GridMismatchError):
-            concat_weeks(a, b)
-
-
 class TestLosses:
     def test_hand_computed_average(self):
         # |diff| = (1, 2, 3, 4) on 4 points: plain average (1+2+3+4)/4 = 2.5
@@ -143,10 +124,8 @@ class TestLosses:
     def test_constant_shift_gives_shift_size(self):
         grid = TimeGrid.uniform(6)
         a = Curve(np.linspace(0, 1, 6), grid)
-        b = a + 0.3
+        b = Curve(a.values + 0.3, grid)
         assert loss_r_median(a, b) == pytest.approx(0.3)
-        # on a uniform unit-horizon grid quadrature agrees with the average
-        assert loss_r_median(a, b, quadrature=True) == pytest.approx(0.3)
 
     def test_variance_loss_same_rule(self):
         grid = TimeGrid.uniform(3)
@@ -203,6 +182,17 @@ class TestStandardSuite:
             if pa.kind == "stratified":
                 assert np.array_equal(pa.strata.labels, pb.strata.labels)
                 assert np.array_equal(pa.alloc, pb.alloc)
+
+    def test_unconverged_auxiliary_median_is_refused(self, monkeypatch):
+        pop = synth_population(small_cfg(n_units=60))
+        real = simulate.l1_median
+        monkeypatch.setattr(
+            simulate,
+            "l1_median",
+            lambda *args, **kw: dataclasses.replace(real(*args, **kw), converged=False),
+        )
+        with pytest.raises(MedcurveError, match="auxiliary-week median did not converge"):
+            standard_design_suite(pop.aux, n=16, n_strata=3, seed=5)
 
 
 class TestMonteCarlo:

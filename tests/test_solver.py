@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from medcurve import Curve, CurvePopulation, TimeGrid, gamma_matrix
+from medcurve import Curve, CurvePopulation, TimeGrid, linearized_variables
 from medcurve.solver import (
     MedianFit,
     SolverConfig,
@@ -103,11 +103,11 @@ def test_objective_trace_is_monotone_and_solution_beats_plug_ins():
     assert fit.converged
     trace = np.array(fit.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * trace[0])
-    from medcurve.curves import mean_curve, pointwise_median
+    from medcurve.curves import pointwise_median
 
     best = objective_value(pop, fit.median)
     assert best <= objective_value(pop, pointwise_median(pop)) + 1e-12
-    assert best <= objective_value(pop, mean_curve(pop)) + 1e-12
+    assert best <= objective_value(pop, pop.values.mean(axis=0)) + 1e-12
 
 
 def test_score_vanishes_at_the_fitted_median():
@@ -383,7 +383,7 @@ def test_newton_and_weiszfeld_agree_within_the_tolerance(seed, n_points, offset,
     else:
         # strong convexity: |m_N - m_W| <= |R(m_N) - R(m_W)| / lambda_min(G);
         # each gap sums n terms of size w_k, so it is known to n eps W
-        lam = gamma_matrix(pop, fit.median, weights=w).min_eigenvalue()
+        lam = linearized_variables(pop, fit.median, weights=w).gamma.min_eigenvalue()
         rounding = 2 * n_units * np.finfo(float).eps * w.sum()
         bound = (fit.residual_norm + gap + rounding) / lam
     assert float(grid.norms(fit.median.values - y)) <= bound

@@ -1,7 +1,7 @@
-"""Variance formulas: closed forms against the generic double sums.
+"""Variance formulas: closed forms against the Horvitz-Thompson double sums.
 
-The double-sum forms take explicit pi and pi_kl, so on enumeration-scale
-frames they provide an independent oracle for each closed form. Hand
+On enumeration-scale frames the double sum over pi_kl counted from every
+possible sample is an independent oracle for each closed form. Hand
 oracle for the with-replacement estimator: N units with equal p = 1/N,
 two draws hitting units with values a and -a gives draw-expanded values
 Na and -Na, mean 0, and variance estimate (1/(2*1)) * 2 (Na)^2 = N^2 a^2.
@@ -22,7 +22,6 @@ from medcurve.designs import (
     draw_ppswr,
     draw_srswor,
     draw_stratified,
-    pi_kl_matrix,
 )
 from medcurve.errors import DesignError, EstimationError
 from medcurve.estimators import weighted_median
@@ -30,10 +29,9 @@ from medcurve.variance import (
     VarianceFunction,
     median_variance,
     variance_estimate,
-    variance_estimate_generic,
     variance_function,
-    variance_function_generic,
 )
+from oracles import double_sum_variance, enumerated_pi_kl
 
 
 def test_census_variance_is_zero():
@@ -56,9 +54,30 @@ def test_srswor_population_closed_form_equals_double_sum():
     u = rng.normal(size=(6, 5))
     design = Srswor(6, 2)
     closed = variance_function(u, design, grid=grid)
-    mat = pi_kl_matrix(design)
-    generic = variance_function_generic(u, np.diag(mat), mat, grid=grid)
-    assert np.max(np.abs(closed.values - generic.values)) <= 1e-10 * closed.values.max()
+    mat = enumerated_pi_kl(design)
+    generic = double_sum_variance(u, np.diag(mat), mat)
+    assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        pytest.param(Srswor(4, 2), id="srswor-4-2"),
+        pytest.param(Srswor(6, 2), id="srswor-6-2"),
+        pytest.param(Srswor(6, 3), id="srswor-6-3"),
+        pytest.param(Srswor(1, 1), id="srswor-census-of-one"),
+        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 1, 1, 1])), [1, 2]), id="strat-3-3"),
+        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 0, 1, 1, 1])), [2, 2]), id="strat-4-3"),
+        pytest.param(Stratified(StrataSpec(np.array([0, 0, 0, 1, 1, 1, 1])), [2, 3]), id="strat-3-4"),
+        pytest.param(Stratified(StrataSpec(np.array([1, 0, 2, 1, 2, 1])), [1, 1, 2]), id="single-unit-stratum"),
+    ],
+)
+def test_closed_form_variance_equals_the_enumerated_double_sum(design):
+    # the criterion-6 and variance-test designs, plus edge cases
+    u = np.random.default_rng(design.N).normal(size=(design.N, 3))
+    closed = variance_function(u, design, grid=TimeGrid.uniform(3)).values
+    mat = enumerated_pi_kl(design)
+    assert np.allclose(closed, double_sum_variance(u, np.diag(mat), mat), rtol=1e-10, atol=1e-12)
 
 
 def test_stratified_population_closed_form_equals_double_sum():
@@ -68,9 +87,9 @@ def test_stratified_population_closed_form_equals_double_sum():
     spec = StrataSpec(np.array([0, 0, 0, 0, 1, 1, 1]))
     draw = draw_stratified(spec, [2, 2], seed=0)
     closed = variance_function(u, draw.design, grid=grid)
-    mat = pi_kl_matrix(draw.design)
-    generic = variance_function_generic(u, np.diag(mat), mat, grid=grid)
-    assert np.max(np.abs(closed.values - generic.values)) <= 1e-10 * closed.values.max()
+    mat = enumerated_pi_kl(draw.design)
+    generic = double_sum_variance(u, np.diag(mat), mat)
+    assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
 
 
 def test_srswor_estimator_closed_form_equals_double_sum():
@@ -79,9 +98,9 @@ def test_srswor_estimator_closed_form_equals_double_sum():
     draw = draw_srswor(6, 3, seed=4)
     u_hat = rng.normal(size=(3, 6))
     closed = variance_estimate(draw, u_hat, grid=grid)
-    mat = pi_kl_matrix(draw.design)[np.ix_(draw.units, draw.units)]
-    generic = variance_estimate_generic(u_hat, draw.pi, mat, grid=grid)
-    assert np.max(np.abs(closed.values - generic.values)) <= 1e-10 * closed.values.max()
+    mat = enumerated_pi_kl(draw.design)[np.ix_(draw.units, draw.units)]
+    generic = double_sum_variance(u_hat, draw.pi, mat, sampled=True)
+    assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
 
 
 def test_stratified_estimator_closed_form_equals_double_sum():
@@ -91,9 +110,9 @@ def test_stratified_estimator_closed_form_equals_double_sum():
     draw = draw_stratified(spec, [2, 3], seed=6)
     u_hat = rng.normal(size=(5, 3))
     closed = variance_estimate(draw, u_hat, grid=grid)
-    mat = pi_kl_matrix(draw.design)[np.ix_(draw.units, draw.units)]
-    generic = variance_estimate_generic(u_hat, draw.pi, mat, grid=grid)
-    assert np.max(np.abs(closed.values - generic.values)) <= 1e-10 * closed.values.max()
+    mat = enumerated_pi_kl(draw.design)[np.ix_(draw.units, draw.units)]
+    generic = double_sum_variance(u_hat, draw.pi, mat, sampled=True)
+    assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
 
 
 def test_proportional_stratification_beats_srswor_with_separated_means():
@@ -209,12 +228,6 @@ def test_error_paths():
     with pytest.raises(EstimationError, match="single sampled unit"):
         variance_estimate(strat, np.zeros((3, 2)), grid=grid)
 
-    # zero joint probability -> directed to the SRSWOR approximation
-    with pytest.raises(EstimationError, match="SRSWOR"):
-        variance_estimate_generic(
-            np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([[0.5, 0.0], [0.0, 0.5]]), grid=grid
-        )
-
     single = SampleDraw(
         units=np.array([0]),
         pi=np.array([0.6]),
@@ -247,11 +260,10 @@ def test_median_variance_is_the_linearize_then_estimate_composition(spec):
     u_hat = linearized_variables(pop.subset(draw.units), fit.median, weights=weights)
     want = variance_estimate(draw, u_hat)
     assert np.array_equal(got.values, want.values)
-    assert (got.kind, got.design, got.approximation, got.clamped) == (
+    assert (got.kind, got.design, got.approximation) == (
         want.kind,
         want.design,
         want.approximation,
-        want.clamped,
     )
 
 
@@ -283,8 +295,7 @@ def test_stratified_estimator_skips_census_strata():
 
 def test_variance_function_clamps_tiny_negatives_and_rejects_big_ones():
     grid = TimeGrid.uniform(2)
-    v = VarianceFunction(np.array([-5e-11, 1.0]), grid, "estimated", "generic", clamped=1)
+    v = VarianceFunction(np.array([-5e-11, 1.0]), grid, "estimated", "srswor")
     assert v.values[0] == 0.0
     with pytest.raises(ValueError, match="floor"):
-        VarianceFunction(np.array([-1.0, 1.0]), grid, "estimated", "generic")
-    assert np.allclose(v.std(), [0.0, 1.0])
+        VarianceFunction(np.array([-1.0, 1.0]), grid, "estimated", "srswor")
