@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .dataio import (
     load_json,
     load_simulation_designs,
     read_curves,
+    read_text,
     strata_count,
     write_curve,
     write_losses,
@@ -99,18 +101,17 @@ def _out_path(args, name: str) -> str:
 def _read_weights(path: str, n: int) -> np.ndarray:
     """One positive weight per line, aligned with the population rows."""
     weights = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                w = float(text)
-            except ValueError:
-                raise ParseError(f"weight {text!r} is not a number", path=path, line=lineno)
-            if not np.isfinite(w) or w <= 0:
-                raise ParseError("weights must be positive and finite", path=path, line=lineno)
-            weights.append(w)
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            w = float(text)
+        except ValueError:
+            raise ParseError(f"weight {text!r} is not a number", path=path, line=lineno)
+        if not np.isfinite(w) or w <= 0:
+            raise ParseError("weights must be positive and finite", path=path, line=lineno)
+        weights.append(w)
     if len(weights) != n:
         raise ParseError(f"expected {n} weights, found {len(weights)}", path=path)
     return np.asarray(weights)

@@ -208,13 +208,18 @@ class CurvePopulation:
             and indices[-1] < self.n_units
             and np.all(indices[1:] > indices[:-1])
         ):
-            out = object.__new__(CurvePopulation)
-            for name, rows in (("values", self.values[indices]), ("ids", self.ids[indices])):
-                rows.setflags(write=False)
-                object.__setattr__(out, name, rows)
-            object.__setattr__(out, "grid", self.grid)
-            return out
+            return CurvePopulation._trusted(self.values[indices], self.grid, self.ids[indices])
         return CurvePopulation(self.values[indices], self.grid, ids=self.ids[indices])
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, grid: TimeGrid, ids: np.ndarray) -> "CurvePopulation":
+        """Keep, read-only and uncopied, a checked finite (N, D) matrix and N unique ids."""
+        out = object.__new__(cls)
+        for name, array in (("values", values), ("ids", ids)):
+            array.setflags(write=False)
+            object.__setattr__(out, name, array)
+        object.__setattr__(out, "grid", grid)
+        return out
 
 
 def as_matrix(source) -> tuple[np.ndarray, TimeGrid]:

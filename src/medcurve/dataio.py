@@ -1,13 +1,14 @@
 """Reading and writing curve populations, samples, and design descriptions.
 
-Curve CSV layout: a header row ``id,t_1,...,t_D`` followed by one row per
-unit. When every header cell after ``id`` parses as a float those values
-are taken as the grid points, which must then be finite and strictly
-increasing; otherwise the points are unnamed and a uniform grid on [0, 1]
-is assumed. A value cell holds anything Python's ``float()`` accepts
-(surrounding whitespace, ``1_000``, non-ASCII digits) as long as it is
-finite. Floats are written with 12 significant digits, which round-trips
-the values used here well below every tolerance in the test suite.
+Curve CSV layout: a header row ``id,t_1,...,t_D``, then one row per unit.
+Numeric header cells are the grid points (finite, strictly increasing);
+otherwise a uniform grid on [0, 1] is assumed. A value cell holds anything
+``float()`` accepts (spaces, ``1_000``, non-ASCII digits) if finite. A
+plain file (header on line 1, D commas per row) is parsed by one
+``np.loadtxt`` whose matrix is kept uncopied; in any doubt the file is
+parsed line by line with ``float()``, which also names the bad line.
+Floats are written with 12 significant digits, which round-trips the
+values used here well below every tolerance in the test suite.
 """
 
 from __future__ import annotations
@@ -45,47 +46,121 @@ def read_curves(path: str | os.PathLike) -> CurvePopulation:
 
     Raises ParseError (with the offending line number) on structural
     problems: missing header, a numeric header that is not a valid grid,
-    ragged rows, non-numeric or non-finite values, duplicate ids.
+    ragged rows, non-numeric or non-finite values, duplicate ids, non-UTF-8.
     """
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            pop = _read_plain(fh, path)
+    except (OSError, UnicodeDecodeError):
+        pop = None  # the per-line parser reports it
+    return pop if pop is not None else _read_per_line(path)
+
+
+# str.splitlines also breaks lines at these, file iteration does not; and
+# numpy strips U+001F around a number where float() does not
+_SPLIT_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
+
+
+def _plain(line: str, d: int) -> bool:
+    return line.count(",") == d and not any(c in line for c in _SPLIT_ONLY)
+
+
+def _read_plain(fh, path: str) -> CurvePopulation | None:
+    """Header on line 1, then all values in one np.loadtxt on the open file.
+
+    None when in doubt (a line not _plain, a cell numpy rejects, a non-finite
+    value, a repeated id); _read_per_line then decides.
+    """
+    header = fh.readline()
+    d = header.count(",")
+    if d == 0 or not _plain(header, d):
+        return None
+    grid = _grid_from_header(header, path, 1)
+    start = fh.tell()
+    labels = []
+    for line in fh:
+        if not _plain(line, d):
+            return None
+        labels.append(line.partition(",")[0].strip())
+    ids = np.array(_unit_ids(labels))
+    if not labels or len(np.unique(ids)) != len(labels):
+        return None
+    fh.seek(start)
+    try:
+        values = np.loadtxt(fh, delimiter=",", usecols=range(1, d + 1), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(labels), d) or not np.isfinite(values).all():
+        return None
+    return CurvePopulation._trusted(values, grid, ids)
+
+
+def _grid_from_header(header: str, path: str, line_no: int) -> TimeGrid:
+    cells = [c.strip() for c in header.split(",")]
+    if len(cells) < 2 or cells[0].lower() != "id":
+        raise ParseError("header must be 'id' followed by grid columns", path=path, line=line_no)
+    try:
+        points = np.array([float(c) for c in cells[1:]])
+    except ValueError:
+        return TimeGrid.uniform(len(cells) - 1)
+    try:
+        return TimeGrid.from_points(points)
+    except ValueError as exc:
+        raise ParseError(f"invalid grid header: {exc}", path=path, line=line_no) from exc
+
+
+def _unit_ids(labels: list[str]) -> list:
+    """The labels as integers when every one is an integer, else as given."""
+    try:
+        return [int(label) for label in labels]
+    except ValueError:
+        return labels
+
+
+def read_text(path: str) -> str:
+    """The file as UTF-8 text, else ParseError (at a bad byte's str.splitlines line)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path, line=line) from None
+
+
+def _read_per_line(path: str) -> CurvePopulation:
+    """Split with str.splitlines, parse each cell with float(), raise at the first bad line."""
+    text = read_text(path)
     rows = [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
-    # numpy strips the unit separator around a number, float() does not
-    bulk_ok = "\x1f" not in text
     del text
     if not rows:
         raise ParseError("file is empty", path=path)
     header_no, header = rows[0]
-    cells = [c.strip() for c in header.split(",")]
-    if len(cells) < 2 or cells[0].lower() != "id":
-        raise ParseError("header must be 'id' followed by grid columns", path=path, line=header_no)
-    grid_labels = cells[1:]
-    d = len(grid_labels)
-    try:
-        points = np.array([float(c) for c in grid_labels])
-    except ValueError:
-        grid = TimeGrid.uniform(d)
-    else:
-        try:
-            grid = TimeGrid.from_points(points)
-        except ValueError as exc:
-            raise ParseError(f"invalid grid header: {exc}", path=path, line=header_no) from exc
-
+    grid = _grid_from_header(header, path, header_no)
     body = rows[1:]
     if not body:
         raise ParseError("no curve rows after the header", path=path, line=header_no)
-    values = _parse_bulk([line for _, line in body], d) if bulk_ok else None
-    if values is None:
-        values = _parse_rows(body, d, path)
+    d = grid.n_points
+    values = np.empty((len(body), d))
+    for r, (line_no, line) in enumerate(body):
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            raise ParseError(
+                f"expected {d + 1} columns, found {len(cells)}", path=path, line=line_no
+            )
+        for j, cell in enumerate(cells[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric value {cell.strip()!r}", path=path, line=line_no)
+            if not np.isfinite(v):
+                raise ParseError(f"non-finite value {cell.strip()!r}", path=path, line=line_no)
+            values[r, j] = v
     labels = [line.partition(",")[0].strip() for _, line in body]
-    try:
-        ids = [int(label) for label in labels]
-    except ValueError:
-        ids = labels
+    ids = _unit_ids(labels)
     # compare the ids the population keeps: '1' and '01' are one integer id
     first: dict = {}
     for (line_no, _), uid, label in zip(body, ids, labels):
@@ -100,44 +175,6 @@ def read_curves(path: str | os.PathLike) -> CurvePopulation:
         return CurvePopulation(values, grid, ids=np.array(ids))
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
-
-
-def _parse_bulk(lines: list[str], d: int) -> np.ndarray | None:
-    """Parse every row's values in one numpy call.
-
-    Returns None when a row is ragged, when numpy rejects a cell, or when a
-    value is non-finite; the per-line parser then decides, so error
-    messages and what counts as a number stay those of ``_parse_rows``.
-    """
-    if any(line.count(",") != d for line in lines):
-        return None
-    try:
-        values = np.loadtxt(
-            lines, delimiter=",", usecols=range(1, d + 1), comments=None, ndmin=2
-        )
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _parse_rows(rows: list[tuple[int, str]], d: int, path: str) -> np.ndarray:
-    """Parse the value cells line by line with float(); raise at the first bad line."""
-    values = np.empty((len(rows), d))
-    for r, (line_no, line) in enumerate(rows):
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise ParseError(
-                f"expected {d + 1} columns, found {len(cells)}", path=path, line=line_no
-            )
-        for j, cell in enumerate(cells[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(f"non-numeric value {cell.strip()!r}", path=path, line=line_no)
-            if not np.isfinite(v):
-                raise ParseError(f"non-finite value {cell.strip()!r}", path=path, line=line_no)
-            values[r, j] = v
-    return values
 
 
 def write_curves(path: str | os.PathLike, pop: CurvePopulation) -> None:

@@ -124,7 +124,7 @@ class SampleDraw:
     units: selected distinct frame positions, ascending. pi: first-order
     inclusion probability per selected unit. design: the design object
     that drew the sample. multiplicities: PPS draw counts per distinct
-    unit, None elsewhere. The arrays are stored read-only.
+    unit, None elsewhere. The arrays are stored as read-only copies.
     """
 
     units: np.ndarray
@@ -133,7 +133,7 @@ class SampleDraw:
     multiplicities: np.ndarray | None = None
 
     def __post_init__(self):
-        units = np.asarray(self.units, dtype=np.int64)
+        units = np.array(self.units, dtype=np.int64)
         pi = np.asarray(self.pi, dtype=float)
         if units.ndim != 1 or units.size == 0:
             raise DesignError("a sample must contain at least one unit")
@@ -146,7 +146,7 @@ class SampleDraw:
         _frozen(self, "units", units)
         _frozen(self, "pi", np.minimum(pi, 1.0))
         if self.multiplicities is not None:
-            mult = np.asarray(self.multiplicities, dtype=np.int64)
+            mult = np.array(self.multiplicities, dtype=np.int64)
             if mult.shape != units.shape or np.any(mult < 1):
                 raise DesignError("multiplicities must be positive and align with units")
             _frozen(self, "multiplicities", mult)

@@ -70,8 +70,8 @@ class SolverConfig:
     init: str | Curve | np.ndarray = "pointwise-median"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be a finite positive number")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

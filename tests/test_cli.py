@@ -113,6 +113,25 @@ class TestMedianCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["median", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_input_is_input_error(self, toy_csv, tmp_path, capsys):
+        path, _ = toy_csv
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"id,0.5,1.5\n1,1,2\n2,\xff,4\n")
+        assert main(["median", "--input", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"{bad}:3: not UTF-8 text" in capsys.readouterr().err
+        wpath = tmp_path / "w.txt"
+        wpath.write_bytes(b"1\n" * 4 + b"\xe9\n" + b"1\n" * 5)
+        argv = ["median", "--input", path, "--weights", str(wpath), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"{wpath}:5: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    def test_tol_must_be_finite_and_positive(self, toy_csv, tmp_path, capsys, tol):
+        path, _ = toy_csv
+        assert main(["median", "--input", path, "--out", str(tmp_path), f"--tol={tol}"]) == 2
+        assert "tol must be a finite positive number" in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.json").exists()
+
     def test_solver_failure_exit_code_with_diagnostics(self, toy_csv, tmp_path):
         path, _ = toy_csv
         out = tmp_path / "failed"

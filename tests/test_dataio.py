@@ -1,13 +1,14 @@
 """CSV and design JSON round trips and failure modes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from medcurve import CurvePopulation, ParseError, TimeGrid
+from medcurve import CurvePopulation, ParseError, TimeGrid, dataio
 from medcurve.dataio import (
     load_design,
     read_curves,
@@ -17,8 +18,10 @@ from medcurve.dataio import (
     write_sample,
     write_variance,
 )
-from medcurve.dataio import _parse_bulk
 from medcurve.errors import DesignError
+
+# str.splitlines breaks lines at these, file iteration does not
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
 
 
 def test_curve_csv_round_trip(tmp_path):
@@ -97,12 +100,29 @@ def test_duplicate_id_reports_its_second_line(tmp_path):
         assert err.value.line == 4
 
 
-def test_bulk_parser_defers_what_float_decides():
-    assert np.array_equal(_parse_bulk(["1, 2.5 ,-3e2", "x,4,5"], 2), [[2.5, -300.0], [4.0, 5.0]])
+def test_bulk_parser_defers_what_float_decides(tmp_path, monkeypatch):
+    deferred = []
+
+    def per_line(path):
+        deferred.append(path)
+        return read_per_line(path)
+
+    monkeypatch.setattr(dataio, "_read_per_line", per_line)
+    path = tmp_path / "pop.csv"
+    path.write_text("id,0.5,1.5\n1, 2.5 ,-3e2\nx,4,5\n")
+    assert np.array_equal(read_curves(path).values, [[2.5, -300.0], [4.0, 5.0]])
+    assert not deferred
     # numpy rejects the first two although float() takes them; ragged and
-    # non-finite rows also go to the per-line parser
-    for row in ["1,1_000,2", "1,\uff11,2", "1,2,3,4", "1,2", "1,nan,2", "1,1e999,2"]:
-        assert _parse_bulk([row], 2) is None
+    # non-finite rows also go to the per-line parser, and so does a line
+    # that str.splitlines would break where file iteration does not
+    rows = ["1,1_000,2", "1,\uff11,2", "1,2,3,4", "1,2", "1,nan,2", "1,1e999,2"]
+    for c in SEPARATORS:
+        rows += [f"1{c},2,3", f"1,2{c},3", f"1,2,3{c}"]
+    for row in rows:
+        path.write_text(f"id,0.5,1.5\n{row}\n", encoding="utf-8")
+        deferred.clear()
+        assert_reads_as_per_line(path)
+        assert deferred == [str(path)]
 
 
 def test_unit_separator_is_not_whitespace(tmp_path):
@@ -112,6 +132,40 @@ def test_unit_separator_is_not_whitespace(tmp_path):
     with pytest.raises(ParseError, match="non-numeric") as err:
         read_curves(path)
     assert err.value.line == 2
+
+
+def test_plain_file_is_read_in_one_numpy_call(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    pop = CurvePopulation(rng.normal(size=(2000, 336)), TimeGrid.uniform(336))
+    path = tmp_path / "pop.csv"
+    write_curves(path, pop)
+
+    def per_line(path):
+        raise AssertionError("a plain numeric file reached the per-line parser")
+
+    monkeypatch.setattr(dataio, "_read_per_line", per_line)
+    tracemalloc.start()
+    try:
+        got = read_curves(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix numpy builds is the one kept: no copy, no list of lines
+    assert peak <= 1.5 * got.values.nbytes
+    assert not got.values.flags.writeable and not got.ids.flags.writeable
+    assert np.allclose(got.values, pop.values, rtol=1e-11)
+    assert np.array_equal(got.ids, pop.ids)
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    # far past the first block the text layer decodes, after a form feed
+    # that str.splitlines counts as a line break
+    path = tmp_path / "pop.csv"
+    rows = [f"{i},{i}.5,2" for i in range(1, 1000)]
+    path.write_bytes(("id,0.5,1.5\n\x0c\n" + "\n".join(rows) + "\n").encode() + b"7,\xc3(,1\n")
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        read_curves(path)
+    assert err.value.line == 1003 and err.value.path == str(path)
 
 
 def read_per_line(path) -> CurvePopulation:
@@ -194,12 +248,16 @@ def csv_texts(draw):
     lines = ["id," + ",".join(header)]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 9)) == 0:
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u00a0", "\u3000 "])))
             continue
         width = d + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 9)) == 0 else 0)
         cells = draw(st.lists(cell, min_size=width, max_size=width))
         lines.append(",".join([draw(IDS)] + cells))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(SEPARATORS)) + lines[i][at:]
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
@@ -208,6 +266,10 @@ def csv_texts(draw):
 def test_bulk_reader_matches_the_per_line_reader(tmp_path, text):
     path = tmp_path / "pop.csv"
     path.write_bytes(text.encode("utf-8"))
+    assert_reads_as_per_line(path)
+
+
+def assert_reads_as_per_line(path):
     try:
         want = read_per_line(path)
     except ParseError as exc:

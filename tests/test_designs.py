@@ -252,6 +252,15 @@ def test_draw_arrays_are_read_only():
                 values[0] = values[0]
 
 
+def test_draw_keeps_the_callers_arrays_writable():
+    units, mult = np.array([0, 2]), np.array([1, 2])
+    draw = SampleDraw(units, [0.5, 0.75], PpsWr(np.array([0.2, 0.3, 0.5]), 3), mult)
+    assert units.flags.writeable and mult.flags.writeable
+    assert not draw.units.flags.writeable and not draw.multiplicities.flags.writeable
+    units[0], mult[0] = 1, 3
+    assert list(draw.units) == [0, 2] and list(draw.multiplicities) == [1, 2]
+
+
 def test_sample_draw_validation():
     with pytest.raises(DesignError, match="ascending"):
         SampleDraw(np.array([2, 1]), np.array([0.5, 0.5]), Srswor(4, 2))
