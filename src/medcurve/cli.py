@@ -25,6 +25,7 @@ import numpy as np
 
 from .curves import CurvePopulation
 from .dataio import (
+    design_from_json,
     load_design,
     load_json,
     load_simulation_designs,
@@ -36,7 +37,6 @@ from .dataio import (
     write_sample,
     write_variance,
 )
-from .designs import DESIGNS
 from .errors import (
     DesignError,
     EstimationError,
@@ -152,12 +152,12 @@ def cmd_median(args) -> int:
 def cmd_estimate(args) -> int:
     pop = read_curves(args.input)
     spec = load_design(args.design)
+    design = design_from_json(spec, pop)
     seed = args.seed if args.seed is not None else spec.get("seed")
     if seed is None:
         raise ParseError("estimation draws a sample; pass --seed (or a 'seed' in the design)")
     cfg = _solver_config(args)
 
-    design = DESIGNS[spec["type"]][0].from_json(spec, pop)
     draw = design.draw(seed)
     weights = design.weights(draw)
     # ht_median is called by name: perfbench's traced mode patches
@@ -206,8 +206,8 @@ def cmd_simulate(args) -> int:
         study = read_curves(args.input[1])
         if not aux.grid.matches(study.grid):
             raise GridMismatchError("auxiliary and study populations must share one grid")
-        if aux.n_units != study.n_units:
-            raise ParseError("auxiliary and study populations must cover the same units")
+        if not np.array_equal(aux.ids, study.ids):
+            raise ParseError("auxiliary and study populations must list the same unit ids in order")
     else:
         raise ParseError("--input takes one synthetic config or an aux/study CSV pair")
 

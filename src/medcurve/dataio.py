@@ -1,4 +1,7 @@
-"""Reading and writing curve populations, samples, and design descriptions.
+"""Reading and writing curve populations and samples; reading design files.
+
+This module alone reads the design-file format: load_design checks its type,
+n and seed, and design_from_json checks each other field against the population.
 
 Curve CSV layout: a header row ``id,t_1,...,t_D``, then one row per unit.
 Numeric header cells are the grid points (finite, strictly increasing);
@@ -14,15 +17,18 @@ values used here well below every tolerance in the test suite.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
+import sys
 from typing import Any
 
 import numpy as np
 
 from .curves import Curve, CurvePopulation, TimeGrid
-from .designs import DESIGNS
+from .designs import DESIGNS, StrataSpec, _check_sizes, pps_weights_from_curves
 from .errors import DesignError, ParseError
+from .stratify import proportional_allocation
 
 __all__ = [
     "read_curves",
@@ -33,8 +39,8 @@ __all__ = [
     "write_losses",
     "load_json",
     "load_design",
+    "design_from_json",
     "load_simulation_designs",
-    "validate_design",
 ]
 
 def _fmt(x: float) -> str:
@@ -233,36 +239,38 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _is_label(value) -> bool:
-    return isinstance(value, (int, str)) and not isinstance(value, bool)
+def _finite(value) -> bool:
+    """A number (not a bool) that float() takes to a finite value, not to an overflow."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 def _is_list_of(value, ok) -> bool:
     return isinstance(value, list) and all(ok(v) for v in value)
 
 
-# what each design-JSON field must hold, whichever design type reads it
-_DESIGN_FIELDS = {
-    "strata": (
-        lambda v: _is_list_of(v, _is_label),
-        "a list of per-unit labels, each an integer or a string",
-    ),
-    "allocation": (lambda v: _is_list_of(v, lambda a: _is_int(a, 1)), "a list of positive integers"),
-    "order_key_column": (lambda v: isinstance(v, str), "a string"),
-    "p_source": (
-        lambda v: v == "mean" or _is_list_of(v, _is_number),
-        '"mean" or a list of per-unit sizes',
-    ),
-}
+def load_json(path: str | os.PathLike) -> Any:
+    """Parse a JSON file, read with universal newlines; a fault raises ParseError.
 
-
-def validate_design(design: dict[str, Any]) -> dict[str, Any]:
-    """Check a design description and return it with defaults filled in.
-
-    Required keys: type (a key of designs.DESIGNS) and n (positive
-    integer). Optional: seed, and the fields DESIGNS lists for the type,
-    each holding what _DESIGN_FIELDS describes.
+    A byte that is not UTF-8 is reported on the line its preceding LF bytes give.
     """
+    path = os.fspath(path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except OSError as exc:
+        raise ParseError(str(exc), path=path) from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path, line=line) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
+
+
+def load_design(path: str | os.PathLike) -> dict[str, Any]:
+    """A design file's JSON object: type a key of designs.DESIGNS, n a positive
+    integer, seed absent or a non-negative integer; design_from_json reads the rest."""
+    design = load_json(path)
     if not isinstance(design, dict):
         raise DesignError("design description must be a JSON object")
     dtype = design.get("type")
@@ -273,33 +281,98 @@ def validate_design(design: dict[str, Any]) -> dict[str, Any]:
     seed = design.get("seed")
     if seed is not None and not _is_int(seed, 0):
         raise DesignError("design 'seed' must be a non-negative integer")
-    reads = DESIGNS[dtype][1]
-    for key in reads:
-        ok, what = _DESIGN_FIELDS[key]
-        if key in design and not ok(design[key]):
-            raise DesignError(f"design {key!r} must be {what}")
-    if "strata" in reads and "strata" not in design:
-        raise DesignError(f"design type {dtype!r} needs per-unit 'strata' labels")
-    extra = set(design) - {"type", "n", "seed", *reads}
-    if extra:
-        raise DesignError(f"unexpected design field(s) {sorted(extra)} for type {dtype!r}")
-    return dict(design)
+    return design
 
 
-def load_json(path: str | os.PathLike) -> Any:
-    """Parse a JSON file; an unreadable file or invalid JSON raises ParseError."""
-    path = os.fspath(path)
+def design_from_json(spec: dict[str, Any], pop: CurvePopulation):
+    """The design a load_design object describes over pop.
+
+    Each field the type reads is taken out of a copy of spec and checked
+    once, its JSON type and its value against pop together; a field left
+    over is unexpected for the type. The design is built last.
+    """
+    fields = dict(spec)
+    kind, n, n_units = fields.pop("type"), fields.pop("n"), pop.n_units
+    fields.pop("seed", None)
+    if kind == "systematic":
+        args = (_order_key(fields.pop("order_key_column", "mean"), pop), n)
+    elif kind == "stratified":
+        strata = _strata(fields, kind, n_units)
+        args = (strata, _allocation(fields, strata, n))
+    elif kind == "ppswr":
+        args = (_pps_p(fields.pop("p_source", "mean"), pop, n), n)
+    else:
+        args = (n_units, n, _strata(fields, kind, n_units) if kind == "poststratified" else None)
+    if fields:
+        raise DesignError(f"unexpected design field(s) {sorted(fields)} for type {kind!r}")
+    return DESIGNS[kind](*args)
+
+
+def _strata(fields: dict, kind: str, n_units: int) -> StrataSpec:
+    """'strata', one integer or string label per unit, canonicalized in sorted order."""
+    if "strata" not in fields:
+        raise DesignError(f"design type {kind!r} needs per-unit 'strata' labels")
+    labels = fields.pop("strata")
+    if not _is_list_of(labels, lambda v: isinstance(v, (int, str)) and not isinstance(v, bool)):
+        raise DesignError(
+            "design 'strata' must be a list of per-unit labels, each an integer or a string"
+        )
+    if len(labels) != n_units:
+        raise DesignError(
+            f"'strata' must list one label per population unit ({n_units}), got {len(labels)}"
+        )
+    # one string label makes them all strings, as numpy would; ints stay exact
+    if any(isinstance(v, str) for v in labels):
+        return StrataSpec.from_labels([str(v) for v in labels])
+    return StrataSpec.from_labels(np.array(labels, dtype=object))
+
+
+def _allocation(fields: dict, strata: StrataSpec, n: int):
+    """'allocation', H positive counts summing to n; proportional when absent."""
+    if "allocation" not in fields:
+        return proportional_allocation(strata.sizes, n).counts
+    alloc = fields.pop("allocation")
+    if not _is_list_of(alloc, lambda a: _is_int(a, 1)):
+        raise DesignError("design 'allocation' must be a list of positive integers")
+    if len(alloc) != strata.n_strata or sum(alloc) != n:
+        raise DesignError(f"'allocation' must give {strata.n_strata} counts summing to {n}")
+    return alloc
+
+
+def _order_key(key, pop: CurvePopulation) -> np.ndarray:
+    """'order_key_column': "mean", "max" or a grid point index, as a string."""
+    if not isinstance(key, str):
+        raise DesignError("design 'order_key_column' must be a string")
+    if key == "mean":
+        return pop.values.mean(axis=1)
+    if key == "max":
+        return pop.values.max(axis=1)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
+        col = int(key)
+    except ValueError:
+        raise DesignError(
+            f"order_key_column must be 'mean', 'max', or a grid point index, got {key!r}"
+        ) from None
+    if not 0 <= col < pop.grid.n_points:
+        raise DesignError(f"order_key_column index {col} outside grid of {pop.grid.n_points}")
+    return pop.values[:, col]
 
 
-def load_design(path: str | os.PathLike) -> dict[str, Any]:
-    return validate_design(load_json(path))
+def _pps_p(src, pop: CurvePopulation, n: int) -> np.ndarray:
+    """'p_source', "mean" or one positive size per unit; n draws fit in the frame."""
+    if src == "mean":
+        p = pps_weights_from_curves(pop)
+    elif not _is_list_of(src, _is_number):
+        raise DesignError('design \'p_source\' must be "mean" or a list of per-unit sizes')
+    elif len(src) != pop.n_units:
+        raise DesignError(f"'p_source' must list one size per unit ({pop.n_units})")
+    elif not all(_finite(s) and s > 0 for s in src) or not math.isfinite(sum(map(float, src))):
+        raise DesignError("'p_source' sizes must be positive and finite")
+    else:
+        sizes = np.asarray(src, dtype=float)
+        p = sizes / sizes.sum()
+    _check_sizes(n, pop.n_units)
+    return p
 
 
 def load_simulation_designs(path: str | os.PathLike, names) -> dict[str, Any]:

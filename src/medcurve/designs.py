@@ -8,13 +8,11 @@ streams are SeedSequence children (child_seeds), so concurrent draws with
 distinct seeds never share a stream, and a SeedSequence passed in is
 never advanced: the same sequence gives the same draw every time.
 
-A design is one frozen object whose parameters are checked when it is
-built: Srswor (poststratified when given groups), Systematic, Stratified
-or PpsWr. It owns its draw, its estimation weights, its closed-form
-population variance where one exists (closed_form), its variance
-estimator and the design-JSON fields it reads. DESIGNS maps the five
-design-JSON "type" strings, which are also the DesignPlan kinds, to
-these classes.
+A design is one frozen object, checked when built: Srswor (poststratified
+when given groups), Systematic, Stratified or PpsWr. It owns its draw, its
+estimation weights, its closed-form population variance where one exists
+(closed_form) and its variance estimator. DESIGNS maps the five design
+kinds to these classes; dataio alone reads design files into them.
 """
 
 from __future__ import annotations
@@ -220,15 +218,6 @@ def calibrated_weights(draw: SampleDraw, groups: StrataSpec) -> np.ndarray:
     return d * (groups.sizes[labels] / nhat[labels])
 
 
-def _json_strata(spec: dict, n_population: int) -> StrataSpec:
-    labels = spec["strata"]
-    if len(labels) != n_population:
-        raise DesignError(
-            f"'strata' must list one label per population unit ({n_population}), got {len(labels)}"
-        )
-    return StrataSpec.from_labels(labels)
-
-
 @dataclass(frozen=True, eq=False)
 class Srswor:
     """Simple random sampling of n of the N frame units without replacement.
@@ -250,11 +239,6 @@ class Srswor:
     @property
     def kind(self) -> str:
         return "srswor" if self.groups is None else "poststratified"
-
-    @classmethod
-    def from_json(cls, spec: dict, pop: CurvePopulation) -> "Srswor":
-        groups = _json_strata(spec, pop.n_units) if "strata" in spec else None
-        return cls(pop.n_units, spec["n"], groups)
 
     def draw(self, seed) -> SampleDraw:
         """Uniform n-subset of 0..N-1; pi = n/N for every unit."""
@@ -317,23 +301,6 @@ class Systematic:
     def N(self) -> int:
         return self.order_key.size
 
-    @classmethod
-    def from_json(cls, spec: dict, pop: CurvePopulation) -> "Systematic":
-        key = spec.get("order_key_column", "mean")
-        if key == "mean":
-            return cls(pop.values.mean(axis=1), spec["n"])
-        if key == "max":
-            return cls(pop.values.max(axis=1), spec["n"])
-        try:
-            col = int(key)
-        except ValueError:
-            raise DesignError(
-                f"order_key_column must be 'mean', 'max', or a grid point index, got {key!r}"
-            )
-        if not 0 <= col < pop.grid.n_points:
-            raise DesignError(f"order_key_column index {col} outside grid of {pop.grid.n_points}")
-        return cls(pop.values[:, col], spec["n"])
-
     def draw(self, seed) -> SampleDraw:
         """Step N/n from a start uniform on [0, step); ranks floor(start + j * step).
 
@@ -371,7 +338,8 @@ class Stratified:
     kind = "stratified"
 
     def __post_init__(self):
-        alloc = np.array(self.alloc, dtype=np.int64)
+        # bounds first, on the counts as given: one too large for int64 is refused
+        alloc = np.array(self.alloc, dtype=object)
         if alloc.shape != (self.strata.n_strata,):
             raise DesignError(
                 f"allocation must give one size per stratum ({self.strata.n_strata})"
@@ -379,7 +347,7 @@ class Stratified:
         for h, (n_h, cap) in enumerate(zip(alloc, self.strata.sizes)):
             if not 1 <= n_h <= cap:
                 raise DesignError(f"allocation {n_h} for stratum {h} must lie in 1..{cap}")
-        _frozen(self, "alloc", alloc)
+        _frozen(self, "alloc", alloc.astype(np.int64))
 
     @property
     def N(self) -> int:
@@ -388,19 +356,6 @@ class Stratified:
     @property
     def n(self) -> int:
         return int(self.alloc.sum())
-
-    @classmethod
-    def from_json(cls, spec: dict, pop: CurvePopulation) -> "Stratified":
-        # imported here: stratify builds its strata on this module's StrataSpec
-        from .stratify import proportional_allocation
-
-        strata, n = _json_strata(spec, pop.n_units), spec["n"]
-        alloc = spec.get("allocation")
-        if alloc is None:
-            return cls(strata, proportional_allocation(strata.sizes, n).counts)
-        if len(alloc) != strata.n_strata or sum(alloc) != n:
-            raise DesignError(f"'allocation' must give {strata.n_strata} counts summing to {n}")
-        return cls(strata, alloc)
 
     def draw(self, seed) -> SampleDraw:
         strata = self.strata
@@ -466,19 +421,6 @@ class PpsWr:
     def N(self) -> int:
         return self.p.size
 
-    @classmethod
-    def from_json(cls, spec: dict, pop: CurvePopulation) -> "PpsWr":
-        """p_source "mean" (the default) or one positive size per unit."""
-        src = spec.get("p_source", "mean")
-        if src == "mean":
-            return cls(pps_weights_from_curves(pop), spec["n"])
-        sizes = np.asarray(src, dtype=float)
-        if sizes.shape != (pop.n_units,):
-            raise DesignError(f"'p_source' must list one size per unit ({pop.n_units})")
-        if np.any(sizes <= 0) or not np.all(np.isfinite(sizes)):
-            raise DesignError("'p_source' sizes must be positive and finite")
-        return cls(sizes / sizes.sum(), spec["n"])
-
     def draw(self, seed) -> SampleDraw:
         """The distinct drawn units with multiplicities; pi = 1 - (1 - p_k)^n."""
         rng = np.random.default_rng(as_seed(seed))
@@ -508,15 +450,13 @@ class PpsWr:
         return sq / (n * (n - 1))
 
 
-# design-JSON "type" (and DesignPlan kind) -> (class, the JSON fields it
-# reads); cls.from_json(validated JSON, population) builds the design, and a
-# type that reads "strata" cannot do without them
+# design kind (a design file's "type", a DesignPlan's kind) -> class
 DESIGNS = {
-    "srswor": (Srswor, ()),
-    "poststratified": (Srswor, ("strata",)),
-    "systematic": (Systematic, ("order_key_column",)),
-    "stratified": (Stratified, ("strata", "allocation")),
-    "ppswr": (PpsWr, ("p_source",)),
+    "srswor": Srswor,
+    "poststratified": Srswor,
+    "systematic": Systematic,
+    "stratified": Stratified,
+    "ppswr": PpsWr,
 }
 
 

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .curves import Curve, CurvePopulation, TimeGrid
-from .dataio import _is_int, _is_number
+from .dataio import _finite, _is_int
 from .designs import DESIGNS, StrataSpec, as_seed, child_seeds, pps_weights_from_curves
 from .errors import EstimationError, GridMismatchError, MedcurveError
 from .estimators import weighted_median
@@ -88,14 +88,14 @@ class SynthConfig:
             least = 0 if f.name == "seed" else 1
             if f.type == "int" and not _is_int(value, least):
                 raise ValueError(f"{f.name} must be an integer of at least {least}")
-            if f.type == "float" and not (_is_number(value) and np.isfinite(value)):
+            if f.type == "float" and not _finite(value):
                 raise ValueError(f"{f.name} must be a finite number")
         groups = self.scale_groups
         if not isinstance(groups, (tuple, list)) or not groups or not all(
-            _is_number(g) and g > 0 for g in groups
+            _finite(g) and g > 0 for g in groups
         ):
-            raise ValueError("scale_groups must be a nonempty list of positive multipliers")
-        object.__setattr__(self, "scale_groups", tuple(groups))
+            raise ValueError("scale_groups must be a nonempty list of positive finite multipliers")
+        object.__setattr__(self, "scale_groups", tuple(float(g) for g in groups))
         if self.n_units < 10:
             raise ValueError("need at least 10 units")
         if self.points_per_week % self.points_per_day != 0:
@@ -204,7 +204,7 @@ class DesignPlan:
         """The design this plan describes over a frame of n_population units."""
         if self.kind not in DESIGNS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
-        cls = DESIGNS[self.kind][0]
+        cls = DESIGNS[self.kind]
         given = {"N": n_population, **vars(self)}
         return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)})
 

@@ -67,15 +67,13 @@ class Allocation:
 
 
 def _largest_remainder(quotas: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
-    base = np.floor(quotas).astype(np.int64)
-    base = np.minimum(base, caps)
-    leftover = total - int(base.sum())
+    counts = np.floor(quotas).astype(np.int64)
+    leftover = total - int(counts.sum())
     if leftover < 0:
         raise ValueError("quotas exceed the total; allocation bug")
     remainders = quotas - np.floor(quotas)
     # hand out leftovers to the largest remainders among strata with room
     order = np.argsort(-remainders, kind="stable")
-    counts = base.copy()
     idx = 0
     while leftover > 0:
         h = order[idx % len(order)]
@@ -88,7 +86,7 @@ def _largest_remainder(quotas: np.ndarray, total: int, caps: np.ndarray) -> np.n
     return counts
 
 
-def _repair_minimum(counts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, bool]:
+def _repair_minimum(counts: np.ndarray) -> tuple[np.ndarray, bool]:
     counts = counts.copy()
     repaired = False
     while np.any(counts == 0):
@@ -100,7 +98,35 @@ def _repair_minimum(counts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, b
         donor = donors[np.argmax(counts[donors])]
         counts[donor] -= 1
         counts[needy] += 1
-    return np.minimum(counts, caps), repaired
+    return counts, repaired
+
+
+def _allocate(score, sizes: np.ndarray, n: int, rule: str, fallback: bool = False) -> Allocation:
+    """n_h proportional to score_h, capped at N_h, rounded by largest remainder.
+
+    Strata whose quota overflows N_h take N_h and drop out; the rest of n
+    is shared among the remainder by the same rule, in proportion to N_h
+    once every remaining score is zero.
+    """
+    total = int(sizes.sum())
+    if not 1 <= n <= total:
+        raise DesignError(f"sample size {n} must lie in 1..{total}")
+    counts = np.zeros(sizes.size, dtype=np.int64)
+    active = np.ones(sizes.size, dtype=bool)
+    remaining = n
+    while np.any(active):
+        weight = score[active] if score[active].sum() > 0 else sizes[active]
+        quotas = remaining * weight / weight.sum()
+        over = quotas > sizes[active]
+        if not np.any(over):
+            counts[active] = _largest_remainder(quotas, remaining, sizes[active])
+            break
+        full = np.flatnonzero(active)[over]
+        counts[full] = sizes[full]
+        remaining -= int(sizes[full].sum())
+        active[full] = False
+    counts, repaired = _repair_minimum(counts)
+    return Allocation(counts=counts, rule=rule, n=n, repaired=repaired, fallback=fallback)
 
 
 def proportional_allocation(sizes, n: int) -> Allocation:
@@ -108,13 +134,7 @@ def proportional_allocation(sizes, n: int) -> Allocation:
     sizes = np.asarray(sizes, dtype=np.int64)
     if np.any(sizes < 1):
         raise DesignError("stratum sizes must be positive")
-    total = int(sizes.sum())
-    if not 1 <= n <= total:
-        raise DesignError(f"sample size {n} must lie in 1..{total}")
-    quotas = n * sizes / total
-    counts = _largest_remainder(quotas, n, sizes)
-    counts, repaired = _repair_minimum(counts, sizes)
-    return Allocation(counts=counts, rule="PROP", n=n, repaired=repaired)
+    return _allocate(sizes, sizes, n, "PROP")
 
 
 def optimal_allocation(
@@ -126,15 +146,12 @@ def optimal_allocation(
     (the linearized variables or the raw curves); the integral over the
     grid uses its quadrature weights. Strata whose share would exceed N_h
     are capped with the surplus redistributed. If every within-stratum
-    variance is zero the allocation falls back to proportional, flagged.
+    variance is zero the allocation is proportional, flagged as a fallback.
     """
     values, grid = values_on_grid(z, grid)
     sizes = strata.sizes
     if values.shape[0] != strata.n_units:
         raise DesignError("allocation variable must cover every unit")
-    total = int(sizes.sum())
-    if not 1 <= n <= total:
-        raise DesignError(f"sample size {n} must lie in 1..{total}")
 
     score = np.zeros(strata.n_strata)
     for h in range(strata.n_strata):
@@ -142,36 +159,7 @@ def optimal_allocation(
         if members.shape[0] >= 2:
             s2_t = np.var(members, axis=0, ddof=1)
             score[h] = sizes[h] * np.sqrt(grid.integrate(s2_t))
-    if np.all(score == 0):
-        prop = proportional_allocation(sizes, n)
-        return Allocation(
-            counts=prop.counts, rule=rule, n=n, repaired=prop.repaired, fallback=True
-        )
-
-    # cap-and-redistribute: strata whose quota overflows N_h take N_h and
-    # drop out; the rest of n is shared among the remainder by the same rule
-    counts = np.zeros(strata.n_strata, dtype=np.int64)
-    active = np.ones(strata.n_strata, dtype=bool)
-    remaining = n
-    while True:
-        share = score[active] / score[active].sum() if score[active].sum() > 0 else None
-        if share is None:
-            # only zero-variance strata left; spread the rest proportionally
-            quotas = remaining * sizes[active] / sizes[active].sum()
-        else:
-            quotas = remaining * share
-        over = quotas > sizes[active]
-        if not np.any(over):
-            counts[active] = _largest_remainder(quotas, remaining, sizes[active])
-            break
-        full = np.flatnonzero(active)[over]
-        counts[full] = sizes[full]
-        remaining -= int(sizes[full].sum())
-        active[full] = False
-        if not np.any(active):
-            break
-    counts, repaired = _repair_minimum(counts, sizes)
-    return Allocation(counts=counts, rule=rule, n=n, repaired=repaired)
+    return _allocate(score, sizes, n, rule, fallback=not score.any())
 
 
 def quartile_strata(summary, n_strata: int = 4) -> StrataSpec:
@@ -189,8 +177,7 @@ def quartile_strata(summary, n_strata: int = 4) -> StrataSpec:
     order = np.argsort(summary, kind="stable")
     bounds = (np.arange(n_strata + 1) * n) // n_strata
     labels = np.empty(n, dtype=np.int64)
-    for h in range(n_strata):
-        labels[order[bounds[h] : bounds[h + 1]]] = h
+    labels[order] = np.repeat(np.arange(n_strata), np.diff(bounds))
     return StrataSpec(labels)
 
 

@@ -9,8 +9,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from medcurve import (
+    CurvePopulation,
     SolverConfig,
     SynthConfig,
     TimeGrid,
@@ -369,6 +372,22 @@ class TestSimulateCommand:
         assert losses[0] == "design,replicate,loss,variance_loss"
         assert len(losses) == 3
 
+    def test_study_rows_must_list_the_aux_ids_in_order(self, tmp_path, capsys):
+        # the same units, the study week listed backwards: pairing rows by
+        # position would match each unit's week 1 with another unit's week 2
+        pop = synth_population(
+            SynthConfig(n_units=30, points_per_week=7, points_per_day=1, seed=8)
+        )
+        study = pop.study
+        aux_path, study_path = tmp_path / "aux.csv", tmp_path / "study.csv"
+        write_curves(aux_path, pop.aux)
+        write_curves(study_path, CurvePopulation(study.values[::-1], study.grid, study.ids[::-1]))
+        designs = tmp_path / "designs.json"
+        designs.write_text(json.dumps({"n": 8, "include": ["SRSWOR"]}))
+        argv = ["simulate", "--input", str(aux_path), str(study_path), "--design", str(designs)]
+        assert main([*argv, "--reps", "2", "--seed", "5", "--out", str(tmp_path)]) == 2
+        assert "same unit ids in order" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "spec, named",
         [
@@ -433,6 +452,123 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, body, code, named",
+    [
+        pytest.param("simulate", {"scale_groups": [10**400]}, 2, "scale_groups", id="scale_groups"),
+        pytest.param("simulate", {"noise_sd": 10**400}, 2, "noise_sd", id="noise_sd"),
+        pytest.param(
+            "estimate",
+            {"type": "ppswr", "n": 5, "p_source": [10**400] + [1] * 9},
+            4,
+            "p_source",
+            id="p_source",
+        ),
+        pytest.param(
+            "estimate",
+            {"type": "stratified", "n": 10**400 + 1, "strata": [0] * 5 + [1] * 5,
+             "allocation": [10**400, 1]},
+            4,
+            "allocation",
+            id="allocation",
+        ),
+        # each size fits a float but their sum does not
+        pytest.param(
+            "estimate",
+            {"type": "ppswr", "n": 5, "p_source": [1e308] * 10},
+            4,
+            "p_source",
+            id="p_source-sum",
+        ),
+        # a PPS draw holds its n draws, so n is bounded by the frame
+        pytest.param("estimate", {"type": "ppswr", "n": 10**400}, 4, "sample size", id="ppswr-n"),
+    ],
+)
+def test_numbers_beyond_a_float_or_an_int64_name_their_field(
+    toy_csv, tmp_path, capsys, command, body, code, named
+):
+    if command == "simulate":
+        inputs = tmp_path / "synth.json"
+        config = dict(n_units=40, points_per_week=14, points_per_day=2, seed=4)
+        inputs.write_text(json.dumps({**config, **body}))
+        design = {"n": 10}
+    else:
+        inputs, design = toy_csv[0], body
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    argv = [command, "--input", str(inputs), "--design", str(path), "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert named in capsys.readouterr().err
+
+
+UNITS = 40
+_HUGE = st.integers(0, 400).map(lambda k: 10**k)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 50) | _HUGE | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _often(usual, rare=_JSON):
+    """usual three times in four, rare (any JSON value by default) otherwise."""
+    return st.sampled_from([usual, usual, usual, rare]).flatmap(lambda strategy: strategy)
+
+
+_ENTRIES = [
+    st.integers(0, 2),
+    st.integers(-2, 45),
+    _HUGE,
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+]
+# one entry per unit, mostly all of one kind, so that a list can pass its
+# type check and then meet the checks of its values
+_PER_UNIT = st.sampled_from([*_ENTRIES, st.one_of(*_ENTRIES)]).flatmap(
+    lambda entry: st.lists(entry, min_size=UNITS, max_size=UNITS)
+)
+_TYPES = ["srswor", "poststratified", "systematic", "stratified", "ppswr"]
+_DESIGNS = _often(
+    st.fixed_dictionaries(
+        {
+            "type": _often(st.sampled_from(_TYPES)),
+            "n": _often(st.integers(1, UNITS + 2), _HUGE | _JSON),
+        },
+        optional={
+            "seed": _often(st.integers(0, 9)),
+            "strata": _often(_PER_UNIT),
+            "allocation": _often(st.lists(st.integers(0, 30), max_size=4), _PER_UNIT),
+            "p_source": _often(_PER_UNIT, st.just("mean") | _JSON),
+            "order_key_column": _often(st.sampled_from(["mean", "max", "0", "3", "4", " 2", "x"])),
+        },
+    )
+)
+
+
+@pytest.fixture
+def units_csv(tmp_path):
+    """UNITS positive curves on a 4-point grid."""
+    rng = np.random.default_rng(11)
+    path = tmp_path / "units.csv"
+    write_curves(path, CurvePopulation(rng.gamma(4.0, size=(UNITS, 4)), TimeGrid.uniform(4)))
+    return path
+
+
+# a draw whose median lands on a sampled curve warns before it exits 4
+@pytest.mark.filterwarnings("ignore:.*excluded from the linearization:UserWarning")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_DESIGNS)
+def test_any_design_file_ends_in_an_exit_code(units_csv, tmp_path, spec):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(spec))
+    argv = ["estimate", "--input", str(units_csv), "--design", str(path), "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) in (0, 2, 4)
 
 
 class TestStratifyCommand:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from medcurve import CurvePopulation, ParseError, TimeGrid, dataio
 from medcurve.dataio import (
+    design_from_json,
     load_design,
+    load_json,
     read_curves,
-    validate_design,
     write_curve,
     write_curves,
     write_sample,
@@ -312,6 +313,15 @@ def test_twelve_significant_digits(tmp_path):
     assert cell == "0.333333333333"
 
 
+def _design(tmp_path, spec, pop=None):
+    """The design a file holding spec describes over pop (8 positive curves by default)."""
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(spec))
+    if pop is None:
+        pop = CurvePopulation(np.arange(1.0, 25.0).reshape(8, 3), TimeGrid.uniform(3))
+    return design_from_json(load_design(path), pop)
+
+
 def test_design_json_load_and_validation(tmp_path):
     path = tmp_path / "design.json"
     path.write_text(json.dumps({"type": "srswor", "n": 10, "seed": 4}))
@@ -323,26 +333,35 @@ def test_design_json_load_and_validation(tmp_path):
         load_design(path)
 
     with pytest.raises(DesignError, match="unknown design type"):
-        validate_design({"type": "quota", "n": 5})
+        _design(tmp_path, {"type": "quota", "n": 5})
     with pytest.raises(DesignError, match="positive integer"):
-        validate_design({"type": "srswor", "n": 0})
+        _design(tmp_path, {"type": "srswor", "n": 0})
     with pytest.raises(DesignError, match="unexpected"):
-        validate_design({"type": "srswor", "n": 5, "strata": [1, 2]})
-    validate_design({"type": "stratified", "n": 8, "strata": [1, 1, 2, 2], "allocation": [4, 4]})
+        _design(tmp_path, {"type": "srswor", "n": 5, "strata": [1, 2]})
+    labels = [1, 1, 1, 1, 2, 2, 2, 2]
+    _design(tmp_path, {"type": "stratified", "n": 8, "strata": labels, "allocation": [4, 4]})
     with pytest.raises(DesignError, match="allocation"):
-        validate_design({"type": "stratified", "n": 8, "allocation": [4, 0]})
-    validate_design({"type": "systematic", "n": 8, "order_key_column": "mean"})
-    validate_design({"type": "ppswr", "n": 8, "p_source": "mean"})
-    validate_design({"type": "ppswr", "n": 8, "p_source": [1, 2.5]})
+        _design(tmp_path, {"type": "stratified", "n": 8, "strata": labels, "allocation": [4, 0]})
+    _design(tmp_path, {"type": "systematic", "n": 8, "order_key_column": "mean"})
+    _design(tmp_path, {"type": "ppswr", "n": 8, "p_source": "mean"})
+    _design(tmp_path, {"type": "ppswr", "n": 8, "p_source": [1, 2.5] * 4})
     for src in ("aux", "max", ["a"], [True]):
         with pytest.raises(DesignError, match="p_source"):
-            validate_design({"type": "ppswr", "n": 8, "p_source": src})
-    validate_design({"type": "poststratified", "n": 4, "strata": [1, "a", 2, -3]})
+            _design(tmp_path, {"type": "ppswr", "n": 8, "p_source": src})
+    _design(tmp_path, {"type": "poststratified", "n": 4, "strata": [1, "a", 2, -3] * 2})
     for dtype in ("stratified", "poststratified"):
         for strata in ([1, None, 2, 2], [{}, 1, 2, 2], [True, 1, 2, 2], [1.5, 1, 2, 2], "1122"):
             with pytest.raises(DesignError, match="'strata' must be a list of per-unit labels"):
-                validate_design({"type": dtype, "n": 4, "strata": strata})
+                _design(tmp_path, {"type": dtype, "n": 4, "strata": strata})
         with pytest.raises(DesignError, match="needs per-unit 'strata'"):
-            validate_design({"type": dtype, "n": 4})
+            _design(tmp_path, {"type": dtype, "n": 4})
     with pytest.raises(DesignError, match="unknown design type"):
-        validate_design({"type": ["srswor"], "n": 4})
+        _design(tmp_path, {"type": ["srswor"], "n": 4})
+
+
+def test_json_that_is_not_utf8_names_its_line(tmp_path):
+    # the line counts the \n before the bad byte; the bare \r ends no line
+    path = tmp_path / "design.json"
+    path.write_bytes(b'{"type": "srswor",\n"n": 5,\r"x": "\xff"}\n')
+    with pytest.raises(ParseError, match=r"design\.json:2: not UTF-8 text"):
+        load_json(path)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from medcurve import CurvePopulation, SolverConfig, TimeGrid, linearized_variables
+from medcurve.dataio import design_from_json
 from medcurve.designs import (
-    DESIGNS,
     PpsWr,
     SampleDraw,
     Srswor,
@@ -252,7 +252,7 @@ def test_error_paths():
 def test_median_variance_is_the_linearize_then_estimate_composition(spec):
     rng = np.random.default_rng(23)
     pop = CurvePopulation(rng.gamma(3.0, size=(60, 6)), TimeGrid.uniform(6))
-    design = DESIGNS[spec["type"]][0].from_json(spec, pop)
+    design = design_from_json(spec, pop)
     draw = design.draw(4)
     weights = design.weights(draw)
     fit = weighted_median(draw, pop, weights, SolverConfig())
