@@ -48,7 +48,7 @@ from .simulate import (
     standard_design_suite,
     synth_population,
 )
-from .solver import MedianFit, SolverConfig, l1_median, objective_value, score
+from .solver import MedianFit, SolverConfig, l1_median, objective_value
 from .stratify import (
     Allocation,
     kmeans_strata,

@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from .curves import CurvePopulation
 from .dataio import (
     design_from_json,
     load_design,
@@ -233,14 +232,14 @@ def cmd_stratify(args) -> int:
 
     if args.on == "scalar-max":
         strata = quartile_strata(pop.values.max(axis=1), args.H)
-        alloc_var, alloc_grid, rule = pop.values, pop.grid, "x-OPTIM"
+        alloc_var, rule = pop, "x-OPTIM"
     elif args.on == "raw":
         seed = _require_seed(args)
         strata = kmeans_strata(pop, args.H, seed=seed)
-        alloc_var, alloc_grid, rule = pop.values, pop.grid, "x-OPTIM"
+        alloc_var, rule = pop, "x-OPTIM"
     elif args.on == "linearized":
         seed = _require_seed(args)
-        fit = l1_median(pop, cfg=SolverConfig(tol=args.tol, max_iter=args.max_iter))
+        fit = l1_median(pop, cfg=_solver_config(args))
         if not fit.converged:
             raise _SolverFailure("population median did not converge; cannot linearize")
         u = linearized_variables(pop, fit.median)
@@ -249,8 +248,8 @@ def cmd_stratify(args) -> int:
                 "some curves coincide with the median; their linearized "
                 "variables are undefined, so cluster on raw curves instead"
             )
-        strata = kmeans_strata(CurvePopulation(u.values, pop.grid), args.H, seed=seed)
-        alloc_var, alloc_grid, rule = u.values, pop.grid, "u-OPTIM"
+        strata = kmeans_strata(u, args.H, seed=seed)
+        alloc_var, rule = u, "u-OPTIM"
     else:
         raise ParseError(f"unknown stratification variable {args.on!r}")
 
@@ -266,7 +265,7 @@ def cmd_stratify(args) -> int:
     }
     if args.alloc is not None:
         prop = proportional_allocation(strata.sizes, args.alloc)
-        optim = optimal_allocation(strata, alloc_var, args.alloc, grid=alloc_grid, rule=rule)
+        optim = optimal_allocation(strata, alloc_var, args.alloc, rule=rule)
         payload["n"] = args.alloc
         payload["allocations"] = {
             "PROP": [int(c) for c in prop.counts],

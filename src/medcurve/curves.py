@@ -9,6 +9,11 @@ of the values. The horizon only rescales norms by a
 constant factor, which drops out of any location statistic computed from
 them (medians in particular) but does rescale variance functions; callers
 who care about absolute variance units must pick T deliberately.
+
+A curve set is any object with .values, an (N, D) float matrix, and .grid,
+its TimeGrid: a CurvePopulation or a LinearizedSet, say. The solver,
+linearization, variance and stratification functions read it as
+(x.values, x.grid) and nothing else.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 __all__ = [
     "TimeGrid",
     "Curve",
@@ -26,9 +29,7 @@ __all__ = [
     "norm",
     "pointwise_median",
     "lower_median",
-    "as_matrix",
     "as_vector",
-    "values_on_grid",
 ]
 
 _SUM_RTOL = 1e-12
@@ -85,24 +86,22 @@ class TimeGrid:
         return cls(points=points, weights=np.full(n_points, step), horizon=horizon)
 
     @classmethod
-    def from_points(cls, points, horizon: float | None = None) -> "TimeGrid":
+    def from_points(cls, points) -> "TimeGrid":
         """Build a grid from explicit points.
 
-        Equally spaced points get uniform weights (the spacing, or T/D when a
-        horizon is given). Unevenly spaced points get trapezoid weights over
-        their span, and the horizon is the span.
+        Equally spaced points get uniform weights equal to the spacing, and
+        the horizon is D times the spacing (1 for a single point). Unevenly
+        spaced points get trapezoid weights over their span, and the horizon
+        is the span.
         """
         points = np.asarray(points, dtype=float)
         n = points.size
         if n == 1:
-            t = float(horizon) if horizon is not None else 1.0
-            return cls(points=points, weights=np.array([t]), horizon=t)
+            return cls(points=points, weights=np.array([1.0]), horizon=1.0)
         diffs = np.diff(points)
         if np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
-            t = float(horizon) if horizon is not None else float(diffs.mean() * n)
+            t = float(diffs.mean() * n)
             return cls(points=points, weights=np.full(n, t / n), horizon=t)
-        if horizon is not None:
-            raise ValueError("explicit horizon is only supported for equally spaced points")
         weights = np.empty(n)
         weights[0] = diffs[0] / 2
         weights[-1] = diffs[-1] / 2
@@ -222,21 +221,6 @@ class CurvePopulation:
         return out
 
 
-def as_matrix(source) -> tuple[np.ndarray, TimeGrid]:
-    """Normalize a CurvePopulation, Curve sequence, or single Curve to (values, grid)."""
-    if isinstance(source, CurvePopulation):
-        return source.values, source.grid
-    if isinstance(source, Curve):
-        return source.values[None, :], source.grid
-    curves = list(source)
-    if not curves:
-        raise ValueError("need at least one curve")
-    grid = curves[0].grid
-    if not all(c.grid.matches(grid) for c in curves[1:]):
-        raise GridMismatchError("curves are not defined on the same time grid")
-    return np.vstack([c.values for c in curves]), grid
-
-
 def norm(a: Curve) -> float:
     """Grid norm sqrt(sum_d q_d a(t_d)^2)."""
     return float(a.grid.norms(a.values))
@@ -245,15 +229,6 @@ def norm(a: Curve) -> float:
 def as_vector(y) -> np.ndarray:
     """Value vector of a Curve, or a plain array as floats."""
     return y.values if isinstance(y, Curve) else np.asarray(y, dtype=float)
-
-
-def values_on_grid(z, grid: TimeGrid | None = None) -> tuple[np.ndarray, TimeGrid]:
-    """(values, grid) of anything carrying both, or of a plain array on an explicit grid."""
-    if hasattr(z, "values") and hasattr(z, "grid"):
-        return np.asarray(z.values, dtype=float), z.grid
-    if grid is None:
-        raise ValueError("grid is required when the values are a plain array")
-    return np.asarray(z, dtype=float), grid
 
 
 def _positive_weights(weights, n: int) -> np.ndarray:
@@ -268,34 +243,16 @@ def _positive_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def pointwise_median(pop: CurvePopulation, weights=None) -> Curve:
-    """Coordinate-wise (weighted) median across units.
-
-    Uses the lower-median convention: at each t_d the result is the smallest
-    value whose cumulative weight reaches half the total.
-    """
-    values = pop.values
-    if weights is None:
-        return Curve(lower_median(values), pop.grid)
-    n, _ = values.shape
-    w = _positive_weights(weights, n)
-    total = w.sum()
-    order = np.argsort(values, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(values, order, axis=0)
-    sorted_w = np.take_along_axis(np.broadcast_to(w[:, None], values.shape), order, axis=0)
-    cum = np.cumsum(sorted_w, axis=0)
-    # the tiny slack keeps exact-half ties (even unit-weight counts) on the lower value
-    target = 0.5 * total * (1.0 - 1e-12)
-    idx = np.argmax(cum >= target, axis=0)
-    med = np.take_along_axis(sorted_vals, idx[None, :], axis=0)[0]
-    return Curve(med, pop.grid)
+def pointwise_median(pop: CurvePopulation) -> Curve:
+    """Coordinate-wise lower median across units (see lower_median)."""
+    return Curve(lower_median(pop.values), pop.grid)
 
 
 def lower_median(values: np.ndarray) -> np.ndarray:
     """Unit-weight lower median of each column of an (N, D) matrix.
 
-    Selects the value of rank (N + 1) // 2 in each column, the value the
-    weighted rule above picks when every weight is one, without sorting.
+    Selects the value of rank (N + 1) // 2 in each column, the smallest
+    value whose count reaches half the rows, without sorting.
     """
     k = (values.shape[0] + 1) // 2 - 1
     med = np.partition(values, k, axis=0)[k].copy()

@@ -265,6 +265,9 @@ def load_json(path: str | os.PathLike) -> Any:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path, line=line) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
+    except ValueError as exc:
+        # an integer of more than sys.get_int_max_str_digits() digits
+        raise ParseError(f"invalid JSON: {exc}", path=path) from exc
 
 
 def load_design(path: str | os.PathLike) -> dict[str, Any]:

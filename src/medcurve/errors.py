@@ -25,7 +25,7 @@ class GridMismatchError(MedcurveError):
 
 
 class LinearizationError(MedcurveError):
-    """The score Jacobian is singular or unusable. Carries a condition estimate."""
+    """The derivative operator is singular or unusable. Carries a condition estimate."""
 
     def __init__(self, message: str, condition: float | None = None):
         self.condition = condition

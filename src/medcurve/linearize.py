@@ -10,6 +10,8 @@ where (x) is the outer product in the grid inner product: (e (x) e) y =
 <e, y> e. The linearized variable of unit k is u_k = G^{-1} e_k; a first
 order expansion of a weighted median around m replaces each curve by its
 u_k, which is what the design-based variance formulas consume.
+linearized_variables reads a curve set (see ``curves``) and returns the
+u_k as a LinearizedSet, itself a curve set.
 
 On the value-vector side the operator is the D x D matrix
 
@@ -41,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import Curve, TimeGrid, _positive_weights, as_matrix, as_vector
+from .curves import Curve, TimeGrid, _positive_weights, as_vector
 from .errors import LinearizationError
 from .solver import point_offsets, scaled_operator
 
@@ -95,9 +97,6 @@ class GammaMatrix:
     def solve(self, b) -> np.ndarray:
         """Solve G u = b; b may be a vector or a stack of rows."""
         return ((as_vector(b) * self._sqrt_q) @ self._inv.T) / self._sqrt_q
-
-    def symmetrized(self) -> np.ndarray:
-        return self._sym.copy()
 
     def min_eigenvalue(self) -> float:
         return float(self._eigenvalues[0])
@@ -155,13 +154,17 @@ class LinearizedSet:
     gamma: GammaMatrix
 
 
-def _gamma_and_directions(curves, at, weights):
-    """The operator, plus the unit directions e_k of the retained curves it was built from."""
-    values, grid = as_matrix(curves)
-    d = values.shape[1]
+def linearized_variables(curves, at: Curve | np.ndarray, weights=None) -> LinearizedSet:
+    """Compute u_k = G^{-1} e_k for every curve of a curve set not coinciding with `at`.
+
+    With unit weights and `at` the population median, the u_k sum to zero
+    (the estimating equation pushed through G^{-1}). For a design-based
+    expansion pass the sampled curves with their sampling weights.
+    """
+    values, grid = curves.values, curves.grid
     w = _positive_weights(weights, values.shape[0])
     point = as_vector(at)
-    if point.shape != (d,):
+    if point.shape != (values.shape[1],):
         raise ValueError("expansion point length does not match the grid")
 
     diffs, r, on_point = point_offsets(values, grid, point)
@@ -173,27 +176,11 @@ def _gamma_and_directions(curves, at, weights):
         warnings.warn(
             f"{len(excluded)} curve(s) coincide with the expansion point "
             "and are excluded from the linearization",
-            stacklevel=3,
+            stacklevel=2,
         )
     diffs, r = diffs[keep], r[keep]
     e = diffs / r[:, None]
-    sqrt_q = np.sqrt(grid.weights)
-    diffs *= sqrt_q
+    diffs *= np.sqrt(grid.weights)
     sym = scaled_operator(diffs, w[keep] / r, r)
-    return _operator((sym + sym.T) / 2.0, grid, excluded), e, keep
-
-
-def linearized_variables(curves, at: Curve | np.ndarray, weights=None) -> LinearizedSet:
-    """Compute u_k = G^{-1} e_k for every curve not coinciding with `at`.
-
-    With unit weights and `at` the population median, the u_k sum to zero
-    (the estimating equation pushed through G^{-1}). For a design-based
-    expansion pass the sampled curves with their sampling weights.
-    """
-    gamma, e, keep = _gamma_and_directions(curves, at, weights)
-    return LinearizedSet(
-        values=gamma.solve(e),
-        units=np.flatnonzero(keep),
-        grid=gamma.grid,
-        gamma=gamma,
-    )
+    gamma = _operator((sym + sym.T) / 2.0, grid, excluded)
+    return LinearizedSet(values=gamma.solve(e), units=np.flatnonzero(keep), grid=grid, gamma=gamma)

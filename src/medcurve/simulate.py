@@ -56,6 +56,9 @@ __all__ = [
 # the population fits (the auxiliary week's, the study week's truth) are
 # solved this tightly, far inside the replicate fits' tolerance
 _POPULATION_TOL = 1e-10
+# a synthetic panel holds at most this many values (n_units x
+# points_per_week x weeks, 800 MB of floats); each count is capped at it too
+_MAX_PANEL_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class SynthConfig:
     fifth of each 7-day block count as weekend and get the contrast dip.
     scale_groups plants distinct consumption regimes (balanced across
     units); scale_sigma adds lognormal spread around each regime level.
+    The counts and the panel's n_units x points_per_week x weeks are capped.
     """
 
     n_units: int = 2000
@@ -88,6 +92,8 @@ class SynthConfig:
             least = 0 if f.name == "seed" else 1
             if f.type == "int" and not _is_int(value, least):
                 raise ValueError(f"{f.name} must be an integer of at least {least}")
+            if f.type == "int" and f.name != "seed" and value > _MAX_PANEL_VALUES:
+                raise ValueError(f"{f.name} must be at most {_MAX_PANEL_VALUES}")
             if f.type == "float" and not _finite(value):
                 raise ValueError(f"{f.name} must be a finite number")
         groups = self.scale_groups
@@ -98,6 +104,8 @@ class SynthConfig:
         object.__setattr__(self, "scale_groups", tuple(float(g) for g in groups))
         if self.n_units < 10:
             raise ValueError("need at least 10 units")
+        if self.n_units * self.points_per_week * self.weeks > _MAX_PANEL_VALUES:
+            raise ValueError(f"n_units x points_per_week x weeks is over {_MAX_PANEL_VALUES}")
         if self.points_per_week % self.points_per_day != 0:
             raise ValueError("points_per_week must be divisible by points_per_day")
         if not 0.0 <= self.outlier_frac <= 0.2:
@@ -252,8 +260,7 @@ def standard_design_suite(
             "auxiliary-week linearized variables are missing for some units; "
             "cannot build the stratification"
         )
-    u_pop = CurvePopulation(u1.values, aux.grid)
-    u_strata = kmeans_strata(u_pop, n_strata, seed=child_seeds(seed, 1)[0])
+    u_strata = kmeans_strata(u1, n_strata, seed=child_seeds(seed, 1)[0])
     x_strata = quartile_strata(aux.values.max(axis=1), n_strata)
 
     stratified = [

@@ -35,22 +35,21 @@ in 2 to 4 steps where Weiszfeld takes about 30.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .curves import Curve, _positive_weights, as_matrix, as_vector, lower_median
+from .curves import Curve, _positive_weights, as_vector, lower_median
 
-__all__ = ["SolverConfig", "MedianFit", "l1_median", "objective_value", "score"]
+__all__ = ["SolverConfig", "MedianFit", "l1_median", "objective_value"]
 
 # Newton steps pay for a D x D assembly and solve; with fewer curves per
 # grid point than this, plain Weiszfeld steps reach the tolerance sooner
 _NEWTON_ROWS_PER_POINT = 3
 # a curve coincides with a point when their grid distance is at most this
-# times the data spread (the largest distance, floored at 1); the solver,
-# the score and the linearization all apply this one rule
+# times the data spread (the largest distance, floored at 1); the solver
+# and the linearization both apply this one rule
 _ANCHOR_EPS = 1e-12
 
 
@@ -107,8 +106,7 @@ class MedianFit:
 
 
 def _prepare(curves, weights):
-    values, grid = as_matrix(curves)
-    return values, grid, _positive_weights(weights, values.shape[0])
+    return curves.values, curves.grid, _positive_weights(weights, curves.values.shape[0])
 
 
 def _anchor_radius(r: np.ndarray) -> float:
@@ -190,7 +188,7 @@ def scaled_operator(z: np.ndarray, inv_r: np.ndarray, r: np.ndarray, out=None) -
 
 
 def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFit:
-    """Compute the weighted L1-median of curves on a shared grid."""
+    """Compute the weighted L1-median of a curve set (see curves)."""
     cfg = cfg or SolverConfig()
     values, grid, w = _prepare(curves, weights)
     total_w = w.sum()
@@ -287,23 +285,3 @@ def objective_value(curves, y: Curve | np.ndarray, weights=None) -> float:
     values, grid, w = _prepare(curves, weights)
     return float(w @ grid.norms(values - as_vector(y)))
 
-
-def score(curves, y: Curve | np.ndarray, weights=None) -> Curve:
-    """Estimating-equation value sum_k w_k (Y_k - y) / ||Y_k - y|| at y.
-
-    Curves coinciding with y (see _ANCHOR_EPS) contribute nothing; a
-    warning notes how many were skipped.
-    """
-    values, grid, w = _prepare(curves, weights)
-    diffs, r, on_point = point_offsets(values, grid, as_vector(y))
-    if np.any(on_point):
-        warnings.warn(
-            f"{int(on_point.sum())} curve(s) coincide with the evaluation point "
-            "and are excluded from the score",
-            stacklevel=2,
-        )
-    free = ~on_point
-    if not np.any(free):
-        return Curve(np.zeros(grid.n_points), grid)
-    inv_r = w[free] / r[free]
-    return Curve(inv_r @ diffs[free], grid)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TimeGrid, as_matrix, values_on_grid
-from .designs import StrataSpec, child_seeds
+from .designs import StrataSpec, _check_sizes, child_seeds
 from .errors import DesignError
 
 __all__ = [
@@ -108,9 +107,7 @@ def _allocate(score, sizes: np.ndarray, n: int, rule: str, fallback: bool = Fals
     is shared among the remainder by the same rule, in proportion to N_h
     once every remaining score is zero.
     """
-    total = int(sizes.sum())
-    if not 1 <= n <= total:
-        raise DesignError(f"sample size {n} must lie in 1..{total}")
+    _check_sizes(n, int(sizes.sum()))
     counts = np.zeros(sizes.size, dtype=np.int64)
     active = np.ones(sizes.size, dtype=bool)
     remaining = n
@@ -137,18 +134,16 @@ def proportional_allocation(sizes, n: int) -> Allocation:
     return _allocate(sizes, sizes, n, "PROP")
 
 
-def optimal_allocation(
-    strata: StrataSpec, z, n: int, grid: TimeGrid | None = None, rule: str = "OPTIM"
-) -> Allocation:
+def optimal_allocation(strata: StrataSpec, z, n: int, rule: str = "OPTIM") -> Allocation:
     """Allocate proportionally to N_h sqrt(integrated within-stratum variance).
 
-    z is the per-unit curve variable the allocation should optimize for
-    (the linearized variables or the raw curves); the integral over the
-    grid uses its quadrature weights. Strata whose share would exceed N_h
+    z is the curve set the allocation should optimize for (the linearized
+    variables or the raw curves); the integral over the grid uses its
+    quadrature weights. Strata whose share would exceed N_h
     are capped with the surplus redistributed. If every within-stratum
     variance is zero the allocation is proportional, flagged as a fallback.
     """
-    values, grid = values_on_grid(z, grid)
+    values, grid = z.values, z.grid
     sizes = strata.sizes
     if values.shape[0] != strata.n_units:
         raise DesignError("allocation variable must cover every unit")
@@ -182,7 +177,7 @@ def quartile_strata(summary, n_strata: int = 4) -> StrataSpec:
 
 
 def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
-    """Cluster curves into strata by Lloyd's algorithm in the grid geometry.
+    """Cluster a curve set into strata by Lloyd's algorithm in the grid geometry.
 
     Each of the _RESTARTS restarts draws k-means++ starting centroids from
     its own child of seed and runs at most _LLOYD_MAX_ITER Lloyd steps;
@@ -193,7 +188,7 @@ def kmeans_strata(curves, n_strata: int, seed) -> StrataSpec:
     independent of internal centroid order. Beyond the curves themselves
     it holds one scaled copy of them and blocks of rows (see _lloyd).
     """
-    values, grid = as_matrix(curves)
+    values, grid = curves.values, curves.grid
     if n_strata < 2:
         raise DesignError("clustering into fewer than 2 strata is not meaningful")
     if _distinct_rows(values, n_strata) < n_strata:

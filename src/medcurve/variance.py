@@ -22,7 +22,8 @@ multiplicities.
 Each design class in ``designs`` evaluates its own forms. This module
 holds the VarianceFunction result type, the two entry points that check
 their input and hand it to the design (variance_function for the
-population form, variance_estimate for the estimator), and
+population form, variance_estimate for the estimator; each reads the
+linearized variables as a curve set, see ``curves``), and
 median_variance, which linearizes a fitted draw and estimates its
 variance in one call.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TimeGrid, values_on_grid
+from .curves import TimeGrid
 from .errors import DesignError, EstimationError
 from .linearize import linearized_variables
 
@@ -87,14 +88,14 @@ def _check_rows(rows: int, expected: int, what: str):
         )
 
 
-def variance_function(u, design, grid: TimeGrid | None = None) -> VarianceFunction:
+def variance_function(u, design) -> VarianceFunction:
     """Population asymptotic variance under a design with closed forms.
 
-    u holds the linearized variables of all N population units (at the
-    population median); design is one of the designs classes. Designs
-    without a closed form are refused by name.
+    u is the curve set of the linearized variables of all N population
+    units (at the population median); design is one of the designs
+    classes. Designs without a closed form are refused by name.
     """
-    values, grid = values_on_grid(u, grid)
+    values, grid = u.values, u.grid
     if not design.closed_form:
         raise DesignError(
             f"design {design.kind!r} has no closed-form asymptotic variance here"
@@ -104,16 +105,16 @@ def variance_function(u, design, grid: TimeGrid | None = None) -> VarianceFuncti
     return VarianceFunction(out, grid, "population-asymptotic", design.kind)
 
 
-def variance_estimate(draw, u_hat, grid: TimeGrid | None = None) -> VarianceFunction:
+def variance_estimate(draw, u_hat) -> VarianceFunction:
     """The drawing design's variance estimator from the sample's linearized variables.
 
-    u_hat rows align with draw.units. SRSWOR and stratified use their
-    closed forms, poststratified SRSWOR the plug-in of its asymptotic form
-    and with-replacement PPS the Hansen-Hurwitz estimator; systematic
-    substitutes the SRSWOR formula (no unbiased estimator exists) and
-    flags the result.
+    u_hat is a curve set whose rows align with draw.units. SRSWOR and
+    stratified use their closed forms, poststratified SRSWOR the plug-in
+    of its asymptotic form and with-replacement PPS the Hansen-Hurwitz
+    estimator; systematic substitutes the SRSWOR formula (no unbiased
+    estimator exists) and flags the result.
     """
-    values, grid = values_on_grid(u_hat, grid)
+    values, grid = u_hat.values, u_hat.grid
     _check_rows(values.shape[0], draw.n_units, "variance estimation")
     design = draw.design
     out = design.variance_estimate(draw, values)

@@ -1,18 +1,75 @@
 """Reference implementations that several test modules compare the library against.
 
 Each one shares no code with what it checks: the derivative operator summed
-term by term, pairwise inclusion probabilities counted over every possible
-sample, the Horvitz-Thompson variance as an explicit double sum over pairs,
-k-means on the full difference broadcast and the ridge rule from
-eigenvalues alone.
+term by term, the estimating equation (the score) whose root the solver
+finds, the weighted pointwise-median rule that lower_median selects
+without sorting, pairwise inclusion probabilities counted over every
+possible sample, the Horvitz-Thompson variance as an explicit double sum
+over pairs, k-means on the full difference broadcast and the ridge rule
+from eigenvalues alone. on_grid wraps plain values and a grid as a bare
+curve set (an object with only .values and .grid), and symmetrized reads
+back the scaled operator a linearization inverted.
 """
 
+import warnings
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 
+from medcurve.curves import Curve
 from medcurve.designs import Srswor, Stratified
 from medcurve.errors import LinearizationError
+
+
+def on_grid(values, grid):
+    """A bare curve set: float values with a grid, and nothing else."""
+    return SimpleNamespace(values=np.asarray(values, dtype=float), grid=grid)
+
+
+def symmetrized(gamma):
+    """A copy of the symmetric scaled operator S a GammaMatrix inverted (ridge included)."""
+    return gamma._sym.copy()
+
+
+def score(pop, y, weights=None, anchor_eps=1e-12):
+    """Estimating-equation value sum_k w_k (Y_k - y) / ||Y_k - y|| at y, as a Curve.
+
+    Curves within anchor_eps of y (relative to the data spread, the
+    solver's coincidence rule) contribute nothing; a warning notes how
+    many were skipped.
+    """
+    values, grid = pop.values, pop.grid
+    w = np.ones(values.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    diffs = values - (y.values if isinstance(y, Curve) else np.asarray(y, dtype=float))
+    r = grid.norms(diffs)
+    on_point = r <= anchor_eps * max(float(r.max()), 1.0)
+    if np.any(on_point):
+        warnings.warn(
+            f"{int(on_point.sum())} curve(s) coincide with the evaluation point "
+            "and are excluded from the score",
+            stacklevel=2,
+        )
+    free = ~on_point
+    if not np.any(free):
+        return Curve(np.zeros(grid.n_points), grid)
+    inv_r = w[free] / r[free]
+    return Curve(inv_r @ diffs[free], grid)
+
+
+def weighted_pointwise_median(values, weights):
+    """Per column, the smallest value whose cumulative weight reaches half the total.
+
+    Values are taken in stable sort order; the tiny slack keeps exact-half
+    ties (even unit-weight counts) on the lower value.
+    """
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(values, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(values, order, axis=0)
+    sorted_w = np.take_along_axis(np.broadcast_to(w[:, None], values.shape), order, axis=0)
+    cum = np.cumsum(sorted_w, axis=0)
+    idx = np.argmax(cum >= 0.5 * w.sum() * (1.0 - 1e-12), axis=0)
+    return np.take_along_axis(sorted_vals, idx[None, :], axis=0)[0]
 
 
 def tensor_gamma(pop, at, weights=None, anchor_eps=1e-12):

@@ -27,14 +27,20 @@ from medcurve import (
     objective_value,
     pointwise_median,
     proportional_allocation,
-    score,
     standard_design_suite,
     synth_population,
     variance_estimate,
     variance_function,
 )
 from medcurve.designs import Srswor, StrataSpec, Stratified
-from oracles import double_sum_variance, enumerated_pi_kl, tensor_gamma
+from oracles import (
+    double_sum_variance,
+    enumerated_pi_kl,
+    on_grid,
+    score,
+    symmetrized,
+    tensor_gamma,
+)
 
 TIGHT = SolverConfig(tol=1e-12, max_iter=5000)
 
@@ -264,7 +270,7 @@ def test_criterion_05_gamma_consistency():
         worst_entry = max(worst_entry, np.abs(integral.matrix - tensor).max())
         assert np.abs(integral.matrix - tensor).max() <= 1e-10
 
-        sym = integral.symmetrized()
+        sym = symmetrized(integral)
         worst_sym = max(worst_sym, np.abs(sym - sym.T).max())
         assert np.abs(sym - sym.T).max() <= 1e-10
         floor = -1e-10 * np.trace(integral.matrix)
@@ -301,7 +307,7 @@ def test_criterion_06_variance_cross_checks():
     pi_kl = enumerated_pi_kl(design)
     gap = np.abs(
         double_sum_variance(u, pi, pi_kl)
-        - variance_function(u, design, grid).values
+        - variance_function(on_grid(u, grid), design).values
     ).max()
     worst = max(worst, gap)
     assert gap <= 1e-10
@@ -311,7 +317,7 @@ def test_criterion_06_variance_cross_checks():
     pi_s = np.where(labels == 0, 1.0 / 3.0, 2.0 / 3.0)
     gap = np.abs(
         double_sum_variance(u, pi_s, enumerated_pi_kl(strat))
-        - variance_function(u, strat, grid).values
+        - variance_function(on_grid(u, grid), strat).values
     ).max()
     worst = max(worst, gap)
     assert gap <= 1e-10
@@ -323,7 +329,7 @@ def test_criterion_06_variance_cross_checks():
     idx = np.ix_(draw.units, draw.units)
     gap = np.abs(
         double_sum_variance(u_hat, draw.pi, full[idx], sampled=True)
-        - variance_estimate(draw, u_hat, grid).values
+        - variance_estimate(draw, on_grid(u_hat, grid)).values
     ).max()
     worst = max(worst, gap)
     assert gap <= 1e-10

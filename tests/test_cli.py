@@ -503,6 +503,26 @@ def test_numbers_beyond_a_float_or_an_int64_name_their_field(
     assert named in capsys.readouterr().err
 
 
+def test_synthetic_config_past_the_panel_bound_is_input_error(tmp_path, capsys):
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"n_units": 10**400}))
+    designs = tmp_path / "designs.json"
+    designs.write_text(json.dumps({"n": 10}))
+    argv = ["simulate", "--input", str(synth), "--design", str(designs), "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "n_units must be at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_json_integer_past_the_digit_limit_names_the_file(toy_csv, tmp_path, capsys, command):
+    path = tmp_path / "design.json"
+    path.write_text('{"type": "srswor", "n": 1' + "0" * 4999 + "}")
+    inputs = [toy_csv[0]] if command == "estimate" else [toy_csv[0], toy_csv[0]]
+    argv = [command, "--input", *inputs, "--design", str(path), "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+
 UNITS = 40
 _HUGE = st.integers(0, 400).map(lambda k: 10**k)
 _JSON = st.recursive(

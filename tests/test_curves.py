@@ -13,12 +13,11 @@ import pytest
 from medcurve import (
     Curve,
     CurvePopulation,
-    GridMismatchError,
     TimeGrid,
     norm,
     pointwise_median,
 )
-from medcurve.curves import as_matrix
+from oracles import weighted_pointwise_median
 
 
 def test_uniform_grid_weights_sum_to_horizon():
@@ -89,9 +88,6 @@ def test_curve_requires_matching_grid_and_finite_values():
         Curve(np.array([1.0, 2.0]), grid)
     with pytest.raises(ValueError):
         Curve(np.array([1.0, np.nan, 2.0]), grid)
-    other = TimeGrid.uniform(3, horizon=2.0)
-    with pytest.raises(GridMismatchError):
-        as_matrix([Curve(np.zeros(3), grid), Curve(np.zeros(3), other)])
 
 
 def test_population_defaults_and_subset():
@@ -187,17 +183,6 @@ def test_pointwise_median_even_count_takes_lower_value():
     assert pointwise_median(pop).values[0] == pytest.approx(2.0)
 
 
-def test_pointwise_median_respects_weights():
-    grid = TimeGrid.uniform(1)
-    pop = CurvePopulation(np.array([[1.0], [2.0], [3.0], [10.0]]), grid)
-    # total weight 6, half 3; the cumulative weight reaches 3 exactly at the value 3
-    med = pointwise_median(pop, weights=[1.0, 1.0, 1.0, 3.0])
-    assert med.values[0] == pytest.approx(3.0)
-    # weight 4 on the value 10: half is 4, only reached at 10
-    med = pointwise_median(pop, weights=[1.0, 1.0, 1.0, 4.0])
-    assert med.values[0] == pytest.approx(10.0)
-
-
 def test_pointwise_median_is_permutation_invariant():
     rng = np.random.default_rng(11)
     grid = TimeGrid.uniform(5)
@@ -215,6 +200,6 @@ def test_unit_weight_median_selects_what_the_weighted_rule_picks(n):
     values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, 40))
     pop = CurvePopulation(values, TimeGrid.uniform(40))
     plain = pointwise_median(pop).values
-    weighted = pointwise_median(pop, weights=np.ones(n)).values
+    weighted = weighted_pointwise_median(values, np.ones(n))
     assert np.array_equal(plain.view(np.int64), weighted.view(np.int64))
 

@@ -17,8 +17,8 @@ import pytest
 from medcurve import CurvePopulation, TimeGrid, linearize
 from medcurve.errors import LinearizationError
 from medcurve.linearize import linearized_variables
-from medcurve.solver import SolverConfig, l1_median, score
-from oracles import eigenvalue_ridge_rule, tensor_gamma
+from medcurve.solver import SolverConfig, l1_median
+from oracles import eigenvalue_ridge_rule, score, symmetrized, tensor_gamma
 
 
 def test_two_orthogonal_directions_hand_oracle():
@@ -116,6 +116,14 @@ def test_coincident_curve_is_excluded_with_a_warning():
     assert lin.gamma.excluded == (3,)
     assert 3 not in lin.units
     assert lin.values.shape == (7, 4)
+
+
+def test_exclusion_warning_names_the_calling_line():
+    values = np.random.default_rng(43).normal(size=(8, 4))
+    pop = CurvePopulation(values, TimeGrid.uniform(4))
+    with pytest.warns(UserWarning, match="excluded") as caught:
+        linearized_variables(pop, values[3])
+    assert caught[0].filename == __file__
 
 
 @pytest.mark.parametrize("n_units, n_points", [(12, 4), (40, 5)])
@@ -218,7 +226,7 @@ def test_ridge_decision_matches_the_eigenvalue_rule(monkeypatch):
         g = linearize._operator(sym, grid)
         assert g.ridged == want_ridged
         assert g.condition == want_condition
-        assert np.array_equal(g.symmetrized(), used)
+        assert np.array_equal(symmetrized(g), used)
         assert g.min_eigenvalue() == np.linalg.eigvalsh(used)[0]
         ridged += g.ridged
 
@@ -244,4 +252,4 @@ def test_a_well_conditioned_operator_takes_no_eigenvalues(monkeypatch):
         m.setattr(np.linalg, "eigvalsh", refuse)
         lin = linearized_variables(pop, np.zeros(5))
     assert not lin.gamma.ridged
-    assert lin.gamma.condition == eigenvalue_ridge_rule(lin.gamma.symmetrized())[1]
+    assert lin.gamma.condition == eigenvalue_ridge_rule(symmetrized(lin.gamma))[1]

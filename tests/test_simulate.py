@@ -112,6 +112,33 @@ class TestSynthPopulation:
         with pytest.raises(ValueError):
             small_cfg(scale_groups=())
 
+    # these configs are only constructed: building their panels would not fit in memory
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            pytest.param({"n_units": 10**400}, "n_units", id="n_units-overflow"),
+            pytest.param({"n_units": 10**12}, "n_units", id="n_units-memory"),
+            pytest.param(
+                {"points_per_week": 10**400, "points_per_day": 10**400},
+                "points_per_week",
+                id="points-overflow",
+            ),
+            pytest.param({"weeks": 10**400}, "weeks", id="weeks"),
+            pytest.param(
+                {"n_units": 100_000, "points_per_week": 336, "points_per_day": 48, "weeks": 3},
+                "n_units x points_per_week x weeks",
+                id="panel",
+            ),
+        ],
+    )
+    def test_panel_size_is_bounded_at_construction(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            SynthConfig(**fields)
+
+    def test_a_two_week_panel_of_100k_by_336_is_admitted(self):
+        cfg = SynthConfig(n_units=100_000, points_per_week=336, points_per_day=48, weeks=2)
+        assert cfg.n_units == 100_000
+
 
 class TestLosses:
     def test_hand_computed_average(self):

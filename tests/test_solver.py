@@ -21,8 +21,8 @@ from medcurve.solver import (
     _collinear,
     l1_median,
     objective_value,
-    score,
 )
+from oracles import score
 
 
 def pop_from_rows(rows, horizon=1.0):
@@ -165,14 +165,6 @@ def test_weights_must_be_positive_and_match():
         l1_median(pop, weights=[1.0, -1.0])
     with pytest.raises(ValueError):
         l1_median(pop, cfg=SolverConfig(tol=-1.0))
-
-
-def test_solver_accepts_curve_sequences():
-    grid = TimeGrid.uniform(4)
-    curves = [Curve(np.full(4, v), grid) for v in (0.0, 1.0, 2.0)]
-    fit = l1_median(curves, cfg=TIGHT)
-    assert fit.converged
-    assert np.allclose(fit.median.values, 1.0, atol=1e-9)
 
 
 def svd_collinear(values, grid):

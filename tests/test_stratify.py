@@ -23,7 +23,7 @@ from medcurve.stratify import (
     proportional_allocation,
     quartile_strata,
 )
-from oracles import broadcast_lloyd
+from oracles import broadcast_lloyd, on_grid
 
 
 def test_proportional_allocation_oracles():
@@ -66,7 +66,7 @@ def test_optimal_allocation_hand_case():
     c2 = 2.0 * c1
     z = np.concatenate([np.tile([c1, -c1], 5), np.tile([c2, -c2], 5)])[:, None]
     strata = StrataSpec(np.repeat([0, 1], 10))
-    alloc = optimal_allocation(strata, z, 10, grid=TimeGrid.uniform(1))
+    alloc = optimal_allocation(strata, on_grid(z, TimeGrid.uniform(1)), 10)
     assert list(alloc.counts) == [3, 7]
     assert not alloc.fallback
 
@@ -74,14 +74,14 @@ def test_optimal_allocation_hand_case():
 def test_optimal_allocation_symmetry():
     z = np.tile([1.0, -1.0], 10)[:, None]
     strata = StrataSpec(np.repeat([0, 1], 10))
-    alloc = optimal_allocation(strata, z, 8, grid=TimeGrid.uniform(1))
+    alloc = optimal_allocation(strata, on_grid(z, TimeGrid.uniform(1)), 8)
     assert list(alloc.counts) == [4, 4]
 
 
 def test_optimal_allocation_zero_variance_stratum():
     z = np.concatenate([np.tile([1.0, -1.0], 5), np.zeros(10)])[:, None]
     strata = StrataSpec(np.repeat([0, 1], 10))
-    alloc = optimal_allocation(strata, z, 10, grid=TimeGrid.uniform(1))
+    alloc = optimal_allocation(strata, on_grid(z, TimeGrid.uniform(1)), 10)
     assert list(alloc.counts) == [9, 1]
     assert alloc.repaired
 
@@ -89,7 +89,7 @@ def test_optimal_allocation_zero_variance_stratum():
 def test_optimal_allocation_all_zero_falls_back_to_proportional():
     z = np.zeros((12, 1))
     strata = StrataSpec(np.repeat([0, 1], 6))
-    alloc = optimal_allocation(strata, z, 6, grid=TimeGrid.uniform(1))
+    alloc = optimal_allocation(strata, on_grid(z, TimeGrid.uniform(1)), 6)
     assert alloc.fallback
     assert list(alloc.counts) == [3, 3]
 
@@ -99,7 +99,7 @@ def test_optimal_allocation_caps_at_stratum_size():
     # and the surplus flows to stratum 1
     z = np.concatenate([np.array([100.0, -100.0, 0.0]), np.tile([1.0, -1.0], 10)])[:, None]
     strata = StrataSpec(np.array([0] * 3 + [1] * 20))
-    alloc = optimal_allocation(strata, z, 12, grid=TimeGrid.uniform(1))
+    alloc = optimal_allocation(strata, on_grid(z, TimeGrid.uniform(1)), 12)
     assert list(alloc.counts) == [3, 9]
 
 

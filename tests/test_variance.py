@@ -31,20 +31,20 @@ from medcurve.variance import (
     variance_estimate,
     variance_function,
 )
-from oracles import double_sum_variance, enumerated_pi_kl
+from oracles import double_sum_variance, enumerated_pi_kl, on_grid
 
 
 def test_census_variance_is_zero():
     grid = TimeGrid.uniform(3)
     u = np.random.default_rng(1).normal(size=(6, 3))
-    v = variance_function(u, Srswor(6, 6), grid=grid)
+    v = variance_function(on_grid(u, grid), Srswor(6, 6))
     assert np.allclose(v.values, 0.0)
 
 
 def test_identical_variables_give_zero_variance():
     grid = TimeGrid.uniform(4)
     u = np.tile([1.0, -2.0, 0.5, 3.0], (5, 1))
-    v = variance_function(u, Srswor(5, 2), grid=grid)
+    v = variance_function(on_grid(u, grid), Srswor(5, 2))
     assert np.allclose(v.values, 0.0)
 
 
@@ -53,7 +53,7 @@ def test_srswor_population_closed_form_equals_double_sum():
     grid = TimeGrid.uniform(5)
     u = rng.normal(size=(6, 5))
     design = Srswor(6, 2)
-    closed = variance_function(u, design, grid=grid)
+    closed = variance_function(on_grid(u, grid), design)
     mat = enumerated_pi_kl(design)
     generic = double_sum_variance(u, np.diag(mat), mat)
     assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
@@ -75,7 +75,7 @@ def test_srswor_population_closed_form_equals_double_sum():
 def test_closed_form_variance_equals_the_enumerated_double_sum(design):
     # the criterion-6 and variance-test designs, plus edge cases
     u = np.random.default_rng(design.N).normal(size=(design.N, 3))
-    closed = variance_function(u, design, grid=TimeGrid.uniform(3)).values
+    closed = variance_function(on_grid(u, TimeGrid.uniform(3)), design).values
     mat = enumerated_pi_kl(design)
     assert np.allclose(closed, double_sum_variance(u, np.diag(mat), mat), rtol=1e-10, atol=1e-12)
 
@@ -86,7 +86,7 @@ def test_stratified_population_closed_form_equals_double_sum():
     u = rng.normal(size=(7, 4))
     spec = StrataSpec(np.array([0, 0, 0, 0, 1, 1, 1]))
     draw = draw_stratified(spec, [2, 2], seed=0)
-    closed = variance_function(u, draw.design, grid=grid)
+    closed = variance_function(on_grid(u, grid), draw.design)
     mat = enumerated_pi_kl(draw.design)
     generic = double_sum_variance(u, np.diag(mat), mat)
     assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
@@ -97,7 +97,7 @@ def test_srswor_estimator_closed_form_equals_double_sum():
     grid = TimeGrid.uniform(6)
     draw = draw_srswor(6, 3, seed=4)
     u_hat = rng.normal(size=(3, 6))
-    closed = variance_estimate(draw, u_hat, grid=grid)
+    closed = variance_estimate(draw, on_grid(u_hat, grid))
     mat = enumerated_pi_kl(draw.design)[np.ix_(draw.units, draw.units)]
     generic = double_sum_variance(u_hat, draw.pi, mat, sampled=True)
     assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
@@ -109,7 +109,7 @@ def test_stratified_estimator_closed_form_equals_double_sum():
     spec = StrataSpec(np.array([0, 0, 0, 1, 1, 1, 1]))
     draw = draw_stratified(spec, [2, 3], seed=6)
     u_hat = rng.normal(size=(5, 3))
-    closed = variance_estimate(draw, u_hat, grid=grid)
+    closed = variance_estimate(draw, on_grid(u_hat, grid))
     mat = enumerated_pi_kl(draw.design)[np.ix_(draw.units, draw.units)]
     generic = double_sum_variance(u_hat, draw.pi, mat, sampled=True)
     assert np.max(np.abs(closed.values - generic)) <= 1e-10 * closed.values.max()
@@ -124,8 +124,8 @@ def test_proportional_stratification_beats_srswor_with_separated_means():
     )
     spec = StrataSpec(np.repeat([0, 1], 30))
     strat_design = Stratified(spec, np.array([6, 6]))
-    v_strat = variance_function(u, strat_design, grid=grid)
-    v_srs = variance_function(u, Srswor(60, 12), grid=grid)
+    v_strat = variance_function(on_grid(u, grid), strat_design)
+    v_srs = variance_function(on_grid(u, grid), Srswor(60, 12))
     assert np.all(v_strat.values <= v_srs.values)
     assert v_strat.integrated() < 0.5 * v_srs.integrated()
 
@@ -138,8 +138,8 @@ def test_poststratified_tracks_proportional_stratification_on_larger_frames():
     )
     labels = np.repeat([0, 1], 300)
     spec = StrataSpec(labels)
-    post = variance_function(u, Srswor(600, 60, groups=spec), grid=grid)
-    strat = variance_function(u, Stratified(spec, np.array([30, 30])), grid=grid)
+    post = variance_function(on_grid(u, grid), Srswor(600, 60, groups=spec))
+    strat = variance_function(on_grid(u, grid), Stratified(spec, np.array([30, 30])))
     assert post.integrated() == pytest.approx(strat.integrated(), rel=0.05)
 
 
@@ -148,7 +148,7 @@ def test_poststratified_estimator_is_the_plug_in_of_its_form():
     spec = StrataSpec(np.array([0, 1] * 6))
     draw = Srswor(12, 8, groups=spec).draw(seed=4)
     u_hat = rng.normal(size=(8, 3))
-    v = variance_estimate(draw, u_hat, grid=TimeGrid.uniform(3))
+    v = variance_estimate(draw, on_grid(u_hat, TimeGrid.uniform(3)))
     labels = spec.labels[draw.units]
     within = sum(5 / 11 * np.var(u_hat[labels == g], axis=0, ddof=1) for g in (0, 1))
     assert np.allclose(v.values, 144 * (1 / 8 - 1 / 12) * within, rtol=1e-12)
@@ -158,11 +158,11 @@ def test_poststratified_estimator_is_the_plug_in_of_its_form():
 def test_systematic_estimate_is_the_flagged_srswor_formula():
     u_hat = np.random.default_rng(41).normal(size=(3, 2))
     draw = Systematic(np.arange(9.0), 3).draw(seed=2)
-    v = variance_estimate(draw, u_hat, grid=TimeGrid.uniform(2))
+    v = variance_estimate(draw, on_grid(u_hat, TimeGrid.uniform(2)))
     expected = 81 * (1 / 3 - 1 / 9) * np.var(u_hat, axis=0, ddof=1)
     assert np.allclose(v.values, expected, rtol=1e-12)
     assert v.approximation == "srswor-formula"
-    plain = variance_estimate(draw_srswor(9, 3, seed=2), u_hat, grid=TimeGrid.uniform(2))
+    plain = variance_estimate(draw_srswor(9, 3, seed=2), on_grid(u_hat, TimeGrid.uniform(2)))
     assert plain.approximation is None
 
 
@@ -177,7 +177,7 @@ def test_hansen_hurwitz_hand_oracle():
         multiplicities=np.array([1, 1]),
     )
     u_hat = np.array([[a], [-a]])
-    v = variance_estimate(draw, u_hat, grid=grid)
+    v = variance_estimate(draw, on_grid(u_hat, grid))
     assert v.values[0] == pytest.approx((n_population * a) ** 2, rel=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_hansen_hurwitz_single_repeated_unit_gives_zero():
         design=PpsWr(p, 3),
         multiplicities=np.array([3]),
     )
-    v = variance_estimate(draw, np.array([[1.0, 2.0]]), grid=grid)
+    v = variance_estimate(draw, on_grid(np.array([[1.0, 2.0]]), grid))
     assert np.allclose(v.values, 0.0)
 
 
@@ -207,7 +207,7 @@ def test_hansen_hurwitz_is_unbiased_for_the_mean_estimator_variance():
         mult = draw.multiplicities.astype(float)
         expanded = u[draw.units] / p[draw.units][:, None]
         totals.append((mult @ expanded) / 3)
-        estimates.append(variance_estimate(draw, u[draw.units], grid=grid).values)
+        estimates.append(variance_estimate(draw, on_grid(u[draw.units], grid)).values)
     empirical = np.var(np.array(totals), axis=0, ddof=1)
     mean_estimate = np.mean(np.array(estimates), axis=0)
     assert np.all(np.abs(mean_estimate - empirical) <= 0.1 * empirical)
@@ -217,16 +217,16 @@ def test_error_paths():
     grid = TimeGrid.uniform(2)
     u = np.zeros((3, 2))
     with pytest.raises(DesignError, match="closed-form"):
-        variance_function(u, Systematic(np.arange(3.0), 2), grid=grid)
+        variance_function(on_grid(u, grid), Systematic(np.arange(3.0), 2))
 
     draw = draw_srswor(6, 3, seed=1)
     with pytest.raises(EstimationError, match="per unit"):
-        variance_estimate(draw, np.zeros((2, 2)), grid=grid)
+        variance_estimate(draw, on_grid(np.zeros((2, 2)), grid))
 
     spec = StrataSpec(np.array([0, 0, 0, 1, 1]))
     strat = draw_stratified(spec, [1, 2], seed=2)
     with pytest.raises(EstimationError, match="single sampled unit"):
-        variance_estimate(strat, np.zeros((3, 2)), grid=grid)
+        variance_estimate(strat, on_grid(np.zeros((3, 2)), grid))
 
     single = SampleDraw(
         units=np.array([0]),
@@ -235,7 +235,7 @@ def test_error_paths():
         multiplicities=np.array([1]),
     )
     with pytest.raises(EstimationError, match="two draws"):
-        variance_estimate(single, np.zeros((1, 2)), grid=grid)
+        variance_estimate(single, on_grid(np.zeros((1, 2)), grid))
 
 
 @pytest.mark.parametrize(
@@ -286,7 +286,7 @@ def test_stratified_estimator_skips_census_strata():
     spec = StrataSpec(np.array([0, 0, 0, 1, 1]))
     draw = draw_stratified(spec, [2, 2], seed=3)
     u_hat = np.random.default_rng(5).normal(size=(4, 3))
-    v = variance_estimate(draw, u_hat, grid=TimeGrid.uniform(3))
+    v = variance_estimate(draw, on_grid(u_hat, TimeGrid.uniform(3)))
     labels = spec.labels[draw.units]
     factor = 9.0 * (1.0 / 2.0 - 1.0 / 3.0)
     expected = factor * np.var(u_hat[labels == 0], axis=0, ddof=1)
