@@ -53,7 +53,7 @@ from .simulate import (
     standard_design_suite,
     synth_population,
 )
-from .solver import SolverConfig, l1_median, objective_value
+from .solver import SolverConfig, l1_median
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
 from .variance import median_variance
 
@@ -116,7 +116,7 @@ def _read_weights(path: str, n: int) -> np.ndarray:
     return np.asarray(weights)
 
 
-def _diagnostics(fit, cfg: SolverConfig, objective: float) -> dict:
+def _diagnostics(fit, cfg: SolverConfig) -> dict:
     return {
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
@@ -124,7 +124,7 @@ def _diagnostics(fit, cfg: SolverConfig, objective: float) -> dict:
         "anchored": bool(fit.anchored),
         "anchor_index": None if fit.anchor_index is None else int(fit.anchor_index),
         "maybe_non_unique": bool(fit.maybe_non_unique),
-        "objective": float(objective),
+        "objective": float(fit.objective),
         "tol": float(cfg.tol),
         "max_iter": int(cfg.max_iter),
     }
@@ -136,8 +136,7 @@ def cmd_median(args) -> int:
     cfg = _solver_config(args)
     fit = l1_median(pop, weights=weights, cfg=cfg)
     write_curve(_out_path(args, "median.csv"), fit.median)
-    obj = objective_value(pop, fit.median, weights=weights)
-    _write_json(_out_path(args, "diagnostics.json"), _diagnostics(fit, cfg, obj))
+    _write_json(_out_path(args, "diagnostics.json"), _diagnostics(fit, cfg))
     if not fit.converged:
         print(
             f"solver stopped after {fit.iterations} iterations without "
@@ -158,16 +157,14 @@ def cmd_estimate(args) -> int:
     cfg = _solver_config(args)
 
     draw = design.draw(seed)
-    weights = design.weights(draw)
     # ht_median is called by name: perfbench's traced mode patches
     # cli.ht_median to capture the fit its replay must reproduce
     if getattr(design, "groups", None) is None:
         fit = ht_median(draw, pop, cfg=cfg)
     else:
-        fit = weighted_median(draw, pop, weights, cfg)
+        fit = weighted_median(draw, pop, design.weights(draw), cfg)
 
-    ids = np.asarray(pop.ids)[draw.units]
-    write_sample(_out_path(args, "sample.csv"), ids, draw.pi, weights)
+    write_sample(_out_path(args, "sample.csv"), fit.curves.ids, draw.pi, fit.weights)
     if not fit.converged:
         print(
             f"solver stopped after {fit.iterations} iterations without "
@@ -176,8 +173,10 @@ def cmd_estimate(args) -> int:
         )
         return EXIT_SOLVER
     write_curve(_out_path(args, "median.csv"), fit.median)
-    var = median_variance(draw, pop, fit.median, weights)
+    var = median_variance(draw, fit)
     write_variance(_out_path(args, "variance.csv"), pop.grid, var.values)
+    if var.approximation is not None:
+        print(f"note: variance.csv holds an approximation ({var.approximation})", file=sys.stderr)
     return EXIT_OK
 
 

@@ -266,8 +266,9 @@ def load_json(path: str | os.PathLike) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
     except ValueError as exc:
-        # an integer of more than sys.get_int_max_str_digits() digits
-        raise ParseError(f"invalid JSON: {exc}", path=path) from exc
+        # the one other ValueError json raises: Python's integer digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: an integer has more than {limit} digits", path=path) from exc
 
 
 def load_design(path: str | os.PathLike) -> dict[str, Any]:

@@ -336,8 +336,7 @@ def monte_carlo_compare(
     call with it repeats the first. Replicate failures (non-convergence,
     estimator errors) are recorded as NaN losses and counted, never
     raised; a plan that describes no valid design raises before its
-    replicates run. A replicate's variance is median_variance under the
-    weights its median was fitted with.
+    replicates run. A replicate's variance is median_variance of its fit.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -349,55 +348,41 @@ def monte_carlo_compare(
         raise MedcurveError("population median did not converge at the truth tolerance")
     truth = truth_fit.median
 
-    var_truths: list[VarianceFunction | None] = []
     pop_u = None
-    for plan in plans:
-        design = plan.population_design(study.n_units)
-        if design is None:
-            var_truths.append(None)
-            continue
-        if pop_u is None:
-            pop_u = linearized_variables(study, truth)
-        var_truths.append(variance_function(pop_u, design))
-
-    rep_seeds = [child_seeds(ds, replicates) for ds in child_seeds(seed, len(plans))]
-
-    losses = np.full((len(plans), replicates), np.nan)
-    var_losses = np.full((len(plans), replicates), np.nan)
-    est_fail = np.zeros(len(plans), dtype=int)
-    var_fail = np.zeros(len(plans), dtype=int)
-
-    for d, plan in enumerate(plans):
-        design = plan.design(study.n_units)
-        for r in range(replicates):
-            try:
-                draw = design.draw(rep_seeds[d][r])
-                weights = design.weights(draw)
-                fit = weighted_median(draw, study, weights, cfg)
-                if not fit.converged:
-                    est_fail[d] += 1
-                    continue
-                losses[d, r] = loss_r_median(fit.median, truth)
-            except MedcurveError:
-                est_fail[d] += 1
-                continue
-            if var_truths[d] is None:
-                continue
-            try:
-                v_hat = median_variance(draw, study, fit.median, weights)
-                var_losses[d, r] = loss_r_variance(v_hat, var_truths[d])
-            except MedcurveError:
-                var_fail[d] += 1
-
     outcomes = []
-    for d, plan in enumerate(plans):
+    for plan, plan_seed in zip(plans, child_seeds(seed, len(plans))):
+        design = plan.design(study.n_units)
+        var_truth = None
+        if plan.population_design(study.n_units) is not None:
+            if pop_u is None:
+                pop_u = linearized_variables(study, truth)
+            var_truth = variance_function(pop_u, design)
+        losses = np.full(replicates, np.nan)
+        var_losses = np.full(replicates, np.nan)
+        est_fail = var_fail = 0
+        for r, rep_seed in enumerate(child_seeds(plan_seed, replicates)):
+            try:
+                draw = design.draw(rep_seed)
+                fit = weighted_median(draw, study, design.weights(draw), cfg)
+            except MedcurveError:
+                fit = None
+            if fit is None or not fit.converged:
+                est_fail += 1
+                continue
+            losses[r] = loss_r_median(fit.median, truth)
+            if var_truth is None:
+                continue
+            try:
+                var_losses[r] = loss_r_variance(median_variance(draw, fit), var_truth)
+            except MedcurveError:
+                var_fail += 1
         outcomes.append(
             DesignOutcome(
                 name=plan.name,
-                losses=losses[d],
-                variance_losses=var_losses[d] if var_truths[d] is not None else None,
-                estimate_failures=int(est_fail[d]),
-                variance_failures=int(var_fail[d]),
+                losses=losses,
+                variance_losses=var_losses if var_truth is not None else None,
+                estimate_failures=est_fail,
+                variance_failures=var_fail,
             )
         )
     return MonteCarloReport(outcomes=tuple(outcomes), replicates=replicates, truth=truth)

@@ -29,8 +29,12 @@ iteration takes one of three steps:
 
 Newton steps need a D x D assembly and solve, which pays only when the
 fit has several curves per grid point: fits with fewer than 3 D curves
-take Weiszfeld steps throughout. Newton typically reaches the tolerance
-in 2 to 4 steps where Weiszfeld takes about 30.
+start with Weiszfeld steps. Newton typically reaches the tolerance in 2
+to 4 steps where Weiszfeld takes about 30. Weiszfeld converges only
+linearly, though, and can need thousands of steps when the median lies
+just off a data curve, or on one that the iterates approach without
+landing. So after 100 steps every iteration first tests the nearest data
+curve as the solution, and then steps by Newton whatever the row count.
 """
 
 from __future__ import annotations
@@ -40,13 +44,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import Curve, _positive_weights, as_vector, lower_median
+from .curves import Curve, _positive_weights, _readonly, as_vector, lower_median
 
 __all__ = ["SolverConfig", "MedianFit", "l1_median", "objective_value"]
 
 # Newton steps pay for a D x D assembly and solve; with fewer curves per
 # grid point than this, plain Weiszfeld steps reach the tolerance sooner
 _NEWTON_ROWS_PER_POINT = 3
+# Weiszfeld steps a fit with fewer rows takes before it turns to Newton
+_WEISZFELD_PATIENCE = 100
 # a curve coincides with a point when their grid distance is at most this
 # times the data spread (the largest distance, floored at 1); the solver
 # and the linearization both apply this one rule
@@ -87,26 +93,25 @@ class MedianFit:
     maybe_non_unique flags populations whose curves are (numerically)
     collinear, the only geometry where the minimizer can fail to be unique;
     it is computed from the fitted curves on first read, so fits whose
-    flag nobody reads skip the check.
+    flag nobody reads skip the check. curves and weights are what the fit
+    ran on (the weights as a read-only copy), and objective is
+    sum_k w_k ||Y_k - median||, the last entry of objective_trace.
     """
 
     median: Curve
     converged: bool
     iterations: int
     residual_norm: float
+    objective: float
+    curves: object = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     anchored: bool = False
     anchor_index: int | None = None
     objective_trace: tuple = field(default=(), repr=False)
-    # the fitted (values, grid), for maybe_non_unique
-    _curves: tuple = field(default=None, repr=False)
 
     @cached_property
     def maybe_non_unique(self) -> bool:
-        return _collinear(*self._curves)
-
-
-def _prepare(curves, weights):
-    return curves.values, curves.grid, _positive_weights(weights, curves.values.shape[0])
+        return _collinear(self.curves.values, self.curves.grid)
 
 
 def _anchor_radius(r: np.ndarray) -> float:
@@ -119,6 +124,13 @@ def point_offsets(values: np.ndarray, grid, point: np.ndarray):
     diffs = values - point
     r = grid.norms(diffs)
     return diffs, r, r <= _anchor_radius(r)
+
+
+def _gap_at_curve(values: np.ndarray, grid, w: np.ndarray, k: int) -> float:
+    """The optimality gap (see MedianFit.residual_norm) at data curve k, unfloored."""
+    diffs, r, on_point = point_offsets(values, grid, values[k])
+    off = ~on_point
+    return float(grid.norms((w[off] / r[off]) @ diffs[off])) - float(w[on_point].sum())
 
 
 def _initial_point(values, grid, init) -> np.ndarray:
@@ -190,7 +202,8 @@ def scaled_operator(z: np.ndarray, inv_r: np.ndarray, r: np.ndarray, out=None) -
 def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFit:
     """Compute the weighted L1-median of a curve set (see curves)."""
     cfg = cfg or SolverConfig()
-    values, grid, w = _prepare(curves, weights)
+    values, grid = curves.values, curves.grid
+    w = _positive_weights(weights, values.shape[0])
     total_w = w.sum()
     y = _initial_point(values, grid, cfg.init)
     gap_tol = cfg.tol * total_w
@@ -246,6 +259,14 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
         if it == cfg.max_iter:
             break
         iterations += 1
+        if iterations > _WEISZFELD_PATIENCE and not anchored:
+            # a median on a data curve draws the iterates ever closer
+            # without landing on it: try the nearest curve as the solution
+            k = int(np.argmin(r))
+            if _gap_at_curve(values, grid, w, k) <= gap_tol:
+                y = values[k].copy()
+                continue
+            newton = True
 
         if newton and not anchored:
             # the buffers are not read again at this point: build Z and its
@@ -273,15 +294,17 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
         converged=converged,
         iterations=iterations,
         residual_norm=gap,
+        objective=trace[-1],
+        curves=curves,
+        weights=_readonly(w),
         anchored=anchored and converged,
         anchor_index=anchor_index if (anchored and converged) else None,
         objective_trace=tuple(trace),
-        _curves=(values, grid),
     )
 
 
 def objective_value(curves, y: Curve | np.ndarray, weights=None) -> float:
     """The criterion sum_k w_k ||Y_k - y|| at a candidate point."""
-    values, grid, w = _prepare(curves, weights)
-    return float(w @ grid.norms(values - as_vector(y)))
+    w = _positive_weights(weights, curves.values.shape[0])
+    return float(w @ curves.grid.norms(curves.values - as_vector(y)))
 

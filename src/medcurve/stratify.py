@@ -44,7 +44,7 @@ _BLOCK_VALUES = 1 << 18
 class Allocation:
     """Per-stratum sample sizes summing to n.
 
-    repaired notes a minimum-1 or capacity repair after rounding; fallback
+    repaired notes a minimum-1 repair after rounding; fallback
     notes an optimal allocation that degraded to proportional because every
     within-stratum variance was zero.
     """
@@ -65,23 +65,16 @@ class Allocation:
             raise ValueError("every stratum must receive at least one unit")
 
 
-def _largest_remainder(quotas: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
+def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     counts = np.floor(quotas).astype(np.int64)
     leftover = total - int(counts.sum())
     if leftover < 0:
         raise ValueError("quotas exceed the total; allocation bug")
-    remainders = quotas - np.floor(quotas)
-    # hand out leftovers to the largest remainders among strata with room
-    order = np.argsort(-remainders, kind="stable")
-    idx = 0
-    while leftover > 0:
-        h = order[idx % len(order)]
-        if counts[h] < caps[h]:
-            counts[h] += 1
-            leftover -= 1
-        idx += 1
-        if idx > 4 * len(order) and leftover > 0:
-            raise DesignError("allocation exceeds total capacity")
+    # the leftover units go to the largest remainders; they are all positive
+    # (the remainders sum to leftover, each below one), so a quota at most
+    # its stratum size never rounds past it
+    order = np.argsort(-(quotas - counts), kind="stable")
+    counts[order[:leftover]] += 1
     return counts
 
 
@@ -116,7 +109,7 @@ def _allocate(score, sizes: np.ndarray, n: int, rule: str, fallback: bool = Fals
         quotas = remaining * weight / weight.sum()
         over = quotas > sizes[active]
         if not np.any(over):
-            counts[active] = _largest_remainder(quotas, remaining, sizes[active])
+            counts[active] = _largest_remainder(quotas, remaining)
             break
         full = np.flatnonzero(active)[over]
         counts[full] = sizes[full]

@@ -123,18 +123,20 @@ def variance_estimate(draw, u_hat) -> VarianceFunction:
     )
 
 
-def median_variance(draw, pop, median, weights) -> VarianceFunction:
+def median_variance(draw, fit) -> VarianceFunction:
     """The drawing design's variance estimate for a median fitted to the draw.
 
-    Linearizes the drawn curves of pop at median under the estimation
-    weights used for the fit (Deville, 1999), then applies
-    variance_estimate, which refuses a draw where a curve coincided with
-    the median and so has no linearized variable.
+    Linearizes fit.curves, one row per drawn unit, at fit.median under
+    fit.weights (Deville, 1999), then applies variance_estimate, which
+    refuses a draw where a curve coincided with the median and so has no
+    linearized variable.
     """
     if draw.n_units < 2:
         raise EstimationError(
             "the variance needs at least two sampled units; this draw holds one"
         )
-    u_hat = linearized_variables(pop.subset(draw.units), median, weights=weights)
+    if fit.curves.values.shape[0] != draw.n_units:
+        raise EstimationError(f"the fit must hold one curve per drawn unit ({draw.n_units})")
+    u_hat = linearized_variables(fit.curves, fit.median, weights=fit.weights)
     return variance_estimate(draw, u_hat)
 

@@ -6,6 +6,7 @@ expectations. Exit codes: 0 ok, 2 input, 3 solver, 4 design.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -279,6 +280,23 @@ class TestEstimateCommand:
         # two units per stratum, each with pi = 2/5
         assert np.allclose(sample[:, 1], 0.4)
 
+    @pytest.mark.parametrize(
+        "dtype, note",
+        [
+            ("systematic", "note: variance.csv holds an approximation (srswor-formula)\n"),
+            ("srswor", ""),
+        ],
+        ids=["systematic", "srswor"],
+    )
+    def test_an_approximate_variance_is_noted_on_stderr(self, toy_csv, tmp_path, capsys, dtype, note):
+        path, _ = toy_csv
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"type": dtype, "n": 5}))
+        argv = ["estimate", "--input", path, "--design", str(design), "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == note
+        assert (tmp_path / "variance.csv").exists()
+
 
 class TestSimulateCommand:
     def _synth(self, tmp_path, **overrides):
@@ -520,7 +538,10 @@ def test_json_integer_past_the_digit_limit_names_the_file(toy_csv, tmp_path, cap
     inputs = [toy_csv[0]] if command == "estimate" else [toy_csv[0], toy_csv[0]]
     argv = [command, "--input", *inputs, "--design", str(path), "--seed", "1"]
     assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert f"{path}: invalid JSON" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: invalid JSON" in err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 UNITS = 40
@@ -589,6 +610,15 @@ def test_any_design_file_ends_in_an_exit_code(units_csv, tmp_path, spec):
     path.write_text(json.dumps(spec))
     argv = ["estimate", "--input", str(units_csv), "--design", str(path), "--seed", "1"]
     assert main([*argv, "--out", str(tmp_path / "out")]) in (0, 2, 4)
+
+
+def test_systematic_six_of_the_units_fixture_converges(units_csv, tmp_path):
+    # the six sampled curves have their median just off one of them, where
+    # Weiszfeld steps alone needed 935 iterations and the fit exited 3
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"type": "systematic", "n": 6}))
+    argv = ["estimate", "--input", str(units_csv), "--design", str(path), "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestStratifyCommand:

@@ -110,6 +110,34 @@ def test_objective_trace_is_monotone_and_solution_beats_plug_ins():
     assert best <= objective_value(pop, pop.values.mean(axis=0)) + 1e-12
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize(
+    "n_units, max_iter",
+    [(12, 500), (40, 500), (40, 1)],
+    ids=["weiszfeld", "newton", "stopped"],
+)
+def test_fit_objective_is_bit_equal_to_objective_value(weighted, n_units, max_iter):
+    rng = np.random.default_rng(71)
+    pop = CurvePopulation(rng.standard_gamma(2.0, size=(n_units, 8)), TimeGrid.uniform(8))
+    weights = rng.uniform(0.5, 3.0, size=n_units) if weighted else None
+    fit = l1_median(pop, weights=weights, cfg=SolverConfig(max_iter=max_iter))
+    assert fit.converged == (max_iter > 1)
+    assert fit.objective == objective_value(pop, fit.median, weights=weights)
+
+
+def test_fit_keeps_its_curves_and_a_read_only_copy_of_its_weights():
+    pop = pop_from_rows([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
+    weights = np.array([1.0, 2.0, 1.5])
+    fit = l1_median(pop, weights=weights)
+    assert fit.curves is pop
+    assert np.array_equal(fit.weights, weights)
+    with pytest.raises(ValueError, match="read-only"):
+        fit.weights[0] = 9.0
+    weights[0] = 9.0
+    assert fit.weights[0] == 1.0
+    assert np.array_equal(l1_median(pop).weights, np.ones(3))
+
+
 def test_score_vanishes_at_the_fitted_median():
     rng = np.random.default_rng(41)
     pop = CurvePopulation(rng.normal(size=(25, 7)), TimeGrid.uniform(7))
@@ -135,6 +163,24 @@ def test_non_convergence_returns_last_iterate_without_raising():
     assert not fit.converged
     assert fit.iterations == 2
     assert np.all(np.isfinite(fit.median.values))
+
+
+def test_small_fits_converge_on_or_next_to_a_data_curve():
+    # under 3 curves per grid point a fit begins with Weiszfeld steps, which
+    # crawl when the median is a data curve or lies just off one; 25 of
+    # these 3,000 fits stopped at max_iter when Weiszfeld ran throughout
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        pop = pop_from_rows(rng.gamma(4.0, size=(rng.integers(3, 12), 4)))
+        fit = l1_median(pop)
+        assert fit.converged
+        # the optimality certificate, with curves within 1e-9 counted as
+        # the median's own weight
+        diffs = pop.values - fit.median.values
+        r = pop.grid.norms(diffs)
+        free = r > 1e-9
+        gap = pop.grid.norms((1.0 / r[free]) @ diffs[free]) - np.count_nonzero(~free)
+        assert gap <= 1e-8 * len(r)
 
 
 def test_collinear_populations_are_flagged_as_maybe_non_unique():

@@ -103,6 +103,24 @@ def test_optimal_allocation_caps_at_stratum_size():
     assert list(alloc.counts) == [3, 9]
 
 
+@st.composite
+def allocation_inputs(draw):
+    sizes = np.array(draw(st.lists(st.integers(1, 60), min_size=1, max_size=8)))
+    n = draw(st.integers(sizes.size, int(sizes.sum())))
+    # zero scores included, down to all zero (the proportional fallback)
+    score = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=sizes.size, max_size=sizes.size)))
+    return score, sizes, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_inputs())
+def test_allocation_counts_lie_in_one_to_the_stratum_size_and_sum_to_n(case):
+    score, sizes, n = case
+    counts = stratify._allocate(score, sizes, n, "OPTIM").counts
+    assert np.all(counts >= 1) and np.all(counts <= sizes)
+    assert counts.sum() == n
+
+
 def test_quartile_strata_rank_cuts():
     spec = quartile_strata(np.arange(1.0, 9.0), 4)
     assert list(spec.labels) == [0, 0, 1, 1, 2, 2, 3, 3]

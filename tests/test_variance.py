@@ -10,7 +10,7 @@ Na and -Na, mean 0, and variance estimate (1/(2*1)) * 2 (Na)^2 = N^2 a^2.
 import numpy as np
 import pytest
 
-from medcurve import CurvePopulation, SolverConfig, TimeGrid, linearized_variables
+from medcurve import CurvePopulation, SolverConfig, TimeGrid, l1_median, linearized_variables
 from medcurve.dataio import design_from_json
 from medcurve.designs import (
     PpsWr,
@@ -256,7 +256,7 @@ def test_median_variance_is_the_linearize_then_estimate_composition(spec):
     draw = design.draw(4)
     weights = design.weights(draw)
     fit = weighted_median(draw, pop, weights, SolverConfig())
-    got = median_variance(draw, pop, fit.median, weights)
+    got = median_variance(draw, fit)
     u_hat = linearized_variables(pop.subset(draw.units), fit.median, weights=weights)
     want = variance_estimate(draw, u_hat)
     assert np.array_equal(got.values, want.values)
@@ -279,7 +279,17 @@ def test_median_variance_refuses_a_draw_with_a_curve_on_the_median():
     assert fit.anchored
     with pytest.warns(UserWarning, match="excluded"):
         with pytest.raises(EstimationError, match="one linearized variable per unit"):
-            median_variance(draw, pop, fit.median, weights)
+            median_variance(draw, fit)
+
+
+def test_median_variance_refuses_a_fit_of_other_rows_than_the_draw():
+    rng = np.random.default_rng(3)
+    pop = CurvePopulation(rng.gamma(3.0, size=(30, 4)), TimeGrid.uniform(4))
+    design = Srswor(30, 6)
+    draw = design.draw(2)
+    whole = l1_median(pop)
+    with pytest.raises(EstimationError, match=r"one curve per drawn unit \(6\)"):
+        median_variance(draw, whole)
 
 
 def test_stratified_estimator_skips_census_strata():
