@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,15 +41,14 @@ from .errors import (
     DesignError,
     EstimationError,
     GridMismatchError,
-    LinearizationError,
     MedcurveError,
     ParseError,
 )
 from .estimators import ht_median, weighted_median
-from .linearize import linearized_variables
 from .simulate import (
     SUITE_NAMES,
     SynthConfig,
+    linearized_at_median,
     monte_carlo_compare,
     standard_design_suite,
     synth_population,
@@ -62,16 +62,11 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_DESIGN = 4
 
-class _SolverFailure(MedcurveError):
-    """Internal marker: the iteration stopped without meeting the tolerance."""
-
-
 # main's exit code for an error: the first entry whose types match decides
 _EXIT_CODES = (
     ((ParseError, GridMismatchError, OSError, ValueError), EXIT_INPUT),
-    ((_SolverFailure, LinearizationError), EXIT_SOLVER),
     ((DesignError, EstimationError), EXIT_DESIGN),
-    # remaining library failures are iteration problems (truth fit etc.)
+    # remaining library failures are solver problems (unconverged fit, singular G)
     (MedcurveError, EXIT_SOLVER),
 )
 
@@ -89,6 +84,8 @@ def _solver_config(args) -> SolverConfig:
 def _require_seed(args) -> int:
     if args.seed is None:
         raise ParseError("this command draws samples; pass an explicit --seed")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, not {args.seed}")
     return args.seed
 
 
@@ -151,7 +148,7 @@ def cmd_estimate(args) -> int:
     pop = read_curves(args.input)
     spec = load_design(args.design)
     design = design_from_json(spec, pop)
-    seed = args.seed if args.seed is not None else spec.get("seed")
+    seed = spec.get("seed") if args.seed is None else _require_seed(args)
     if seed is None:
         raise ParseError("estimation draws a sample; pass --seed (or a 'seed' in the design)")
     cfg = _solver_config(args)
@@ -238,15 +235,7 @@ def cmd_stratify(args) -> int:
         alloc_var, rule = pop, "x-OPTIM"
     elif args.on == "linearized":
         seed = _require_seed(args)
-        fit = l1_median(pop, cfg=_solver_config(args))
-        if not fit.converged:
-            raise _SolverFailure("population median did not converge; cannot linearize")
-        u = linearized_variables(pop, fit.median)
-        if u.values.shape[0] != pop.n_units:
-            raise EstimationError(
-                "some curves coincide with the median; their linearized "
-                "variables are undefined, so cluster on raw curves instead"
-            )
+        u = linearized_at_median(pop, _solver_config(args), "population")
         strata = kmeans_strata(u, args.H, seed=seed)
         alloc_var, rule = u, "u-OPTIM"
     else:
@@ -327,11 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, ValueError, MedcurveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+    # library warnings become one note line each, printed before any error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, error = args.func(args), None
+        except (OSError, ValueError, MedcurveError) as exc:
+            code, error = next(c for types, c in _EXIT_CODES if isinstance(exc, types)), exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"note: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

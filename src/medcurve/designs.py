@@ -198,6 +198,13 @@ def _ht_weights(self, draw: SampleDraw) -> np.ndarray:
     return draw.weights
 
 
+def _srswor_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
+    """The SRSWOR closed form with sample variances."""
+    if self.n < 2:
+        raise EstimationError("variance estimation needs at least two sampled units")
+    return _srswor_variance(self.N, self.n, values)
+
+
 def calibrated_weights(draw: SampleDraw, groups: StrataSpec) -> np.ndarray:
     """1/pi_k rescaled to N_g / (Nhat_g pi_k), Nhat_g the HT estimate of N_g.
 
@@ -270,11 +277,9 @@ class Srswor:
 
     def variance_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
         """The closed form with sample variances; with groups, the plug-in of the poststratified form."""
-        if self.groups is not None:
-            return self._grouped(values, self.groups.labels[draw.units], sampled=True)
-        if self.n < 2:
-            raise EstimationError("variance estimation needs at least two sampled units")
-        return _srswor_variance(self.N, self.n, values)
+        if self.groups is None:
+            return _srswor_estimate(self, draw, values)
+        return self._grouped(values, self.groups.labels[draw.units], sampled=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,12 +324,7 @@ class Systematic:
         return SampleDraw(units, np.full(n, n / n_population), self)
 
     weights = _ht_weights
-
-    def variance_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
-        """The SRSWOR formula (see approximation)."""
-        if self.n < 2:
-            raise EstimationError("variance estimation needs at least two sampled units")
-        return _srswor_variance(self.N, self.n, values)
+    variance_estimate = _srswor_estimate
 
 
 @dataclass(frozen=True, eq=False)

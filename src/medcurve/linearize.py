@@ -27,12 +27,17 @@ use, and A is derived from it. The operator is singular exactly when
 every e_k lies on one line, the same degenerate geometry where the median
 itself can be non-unique.
 
-All u_k come from one inverse of S and one matrix product. The ridge
-decision needs the spectral condition only when the inverse cannot rule
-it out: ||S||_F ||S^-1||_F bounds the condition from above, and when the
-bound is within a tenth of the ridge threshold no eigenvalue is computed.
-Otherwise the eigenvalues decide, as they always did. The condition and
-the smallest eigenvalue are computed when first read.
+The linearization works in that frame: with z_k = (Y_k - m) sqrt(q),
+S = c I - sum_k (w_k / r_k^3) z_k z_k^T and u_k = (z_k / r_k) S^-1^T / sqrt(q),
+so one inverse of S and one matrix product give every u_k. The offsets
+become z_k and then z_k / r_k in place, and u, the only other N x D array,
+first holds S's weighted rows: the peak is about twice the curve matrix.
+
+The ridge decision needs the spectral condition only when the inverse
+cannot rule it out: ||S||_F ||S^-1||_F bounds it from above, and a bound
+within a tenth of the ridge threshold computes no eigenvalue. Otherwise
+the eigenvalues decide. The condition and the smallest eigenvalue are
+computed when first read.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 
 from .curves import Curve, TimeGrid, _positive_weights, as_vector
 from .errors import LinearizationError
-from .solver import point_offsets, scaled_operator
+from .solver import _anchor_radius, scaled_operator
 
 __all__ = ["GammaMatrix", "LinearizedSet", "linearized_variables"]
 
@@ -167,7 +172,9 @@ def linearized_variables(curves, at: Curve | np.ndarray, weights=None) -> Linear
     if point.shape != (values.shape[1],):
         raise ValueError("expansion point length does not match the grid")
 
-    diffs, r, on_point = point_offsets(values, grid, point)
+    z = values - point
+    r = grid.norms(z)
+    on_point = r <= _anchor_radius(r)
     excluded = tuple(int(i) for i in np.flatnonzero(on_point))
     keep = ~on_point
     if not np.any(keep):
@@ -178,9 +185,12 @@ def linearized_variables(curves, at: Curve | np.ndarray, weights=None) -> Linear
             "and are excluded from the linearization",
             stacklevel=2,
         )
-    diffs, r = diffs[keep], r[keep]
-    e = diffs / r[:, None]
-    diffs *= np.sqrt(grid.weights)
-    sym = scaled_operator(diffs, w[keep] / r, r)
+        z, r, w = z[keep], r[keep], w[keep]
+    z *= np.sqrt(grid.weights)
+    u = np.empty_like(z)
+    sym = scaled_operator(z, w / r, r, out=u)
     gamma = _operator((sym + sym.T) / 2.0, grid, excluded)
-    return LinearizedSet(values=gamma.solve(e), units=np.flatnonzero(keep), grid=grid, gamma=gamma)
+    z /= r[:, None]
+    np.matmul(z, gamma._inv.T, out=u)
+    u /= gamma._sqrt_q
+    return LinearizedSet(values=u, units=np.flatnonzero(keep), grid=grid, gamma=gamma)

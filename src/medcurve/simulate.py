@@ -34,7 +34,7 @@ from .dataio import _finite, _is_int
 from .designs import DESIGNS, StrataSpec, as_seed, child_seeds, pps_weights_from_curves
 from .errors import EstimationError, GridMismatchError, MedcurveError
 from .estimators import weighted_median
-from .linearize import linearized_variables
+from .linearize import LinearizedSet, linearized_variables
 from .solver import SolverConfig, l1_median
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
 from .variance import VarianceFunction, median_variance, variance_function
@@ -45,6 +45,7 @@ __all__ = [
     "synth_population",
     "loss_r_median",
     "loss_r_variance",
+    "linearized_at_median",
     "DesignPlan",
     "SUITE_NAMES",
     "standard_design_suite",
@@ -189,6 +190,22 @@ def loss_r_variance(estimate: VarianceFunction, truth: VarianceFunction) -> floa
     return _integrated_abs_error(estimate, truth)
 
 
+def linearized_at_median(pop: CurvePopulation, cfg: SolverConfig, what: str) -> LinearizedSet:
+    """Every curve's linearized variable at pop's median under cfg; `what` names pop.
+
+    An unconverged fit raises MedcurveError, a curve on the median EstimationError.
+    """
+    fit = l1_median(pop, cfg=cfg)
+    if not fit.converged:
+        raise MedcurveError(f"{what} median did not converge; cannot linearize")
+    u = linearized_variables(pop, fit.median)
+    if u.values.shape[0] != pop.n_units:
+        raise EstimationError(
+            f"some {what} curves coincide with the median; their linearized variables are undefined"
+        )
+    return u
+
+
 @dataclass(frozen=True, eq=False)
 class DesignPlan:
     """One design configured against the auxiliary week.
@@ -249,17 +266,7 @@ def standard_design_suite(
     (proportional and optimal); poststratified SRSWOR on the k-means
     groups; and PPS with draw probabilities proportional to mean level.
     """
-    fit = l1_median(aux, cfg=SolverConfig(tol=_POPULATION_TOL))
-    if not fit.converged:
-        raise MedcurveError(
-            "auxiliary-week median did not converge; cannot build the design suite"
-        )
-    u1 = linearized_variables(aux, fit.median)
-    if u1.values.shape[0] != aux.n_units:
-        raise EstimationError(
-            "auxiliary-week linearized variables are missing for some units; "
-            "cannot build the stratification"
-        )
+    u1 = linearized_at_median(aux, SolverConfig(tol=_POPULATION_TOL), "auxiliary-week")
     u_strata = kmeans_strata(u1, n_strata, seed=child_seeds(seed, 1)[0])
     x_strata = quartile_strata(aux.values.max(axis=1), n_strata)
 

@@ -119,16 +119,11 @@ def _anchor_radius(r: np.ndarray) -> float:
     return _ANCHOR_EPS * max(float(r.max()) if r.size else 0.0, 1.0)
 
 
-def point_offsets(values: np.ndarray, grid, point: np.ndarray):
-    """Differences Y_k - point, their grid norms, and which curves coincide with point."""
-    diffs = values - point
-    r = grid.norms(diffs)
-    return diffs, r, r <= _anchor_radius(r)
-
-
 def _gap_at_curve(values: np.ndarray, grid, w: np.ndarray, k: int) -> float:
     """The optimality gap (see MedianFit.residual_norm) at data curve k, unfloored."""
-    diffs, r, on_point = point_offsets(values, grid, values[k])
+    diffs = values - values[k]
+    r = grid.norms(diffs)
+    on_point = r <= _anchor_radius(r)
     off = ~on_point
     return float(grid.norms((w[off] / r[off]) @ diffs[off])) - float(w[on_point].sum())
 

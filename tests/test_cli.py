@@ -601,8 +601,6 @@ def units_csv(tmp_path):
     return path
 
 
-# a draw whose median lands on a sampled curve warns before it exits 4
-@pytest.mark.filterwarnings("ignore:.*excluded from the linearization:UserWarning")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(spec=_DESIGNS)
 def test_any_design_file_ends_in_an_exit_code(units_csv, tmp_path, spec):
@@ -688,6 +686,16 @@ class TestStratifyCommand:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_unconverged_median_exits_3(self, tmp_path, capsys):
+        pop = synth_population(SynthConfig(n_units=40, points_per_week=7, points_per_day=7, seed=12))
+        path = tmp_path / "pop.csv"
+        write_curves(path, pop.aux)
+        argv = ["stratify", "--input", str(path), "--seed", "4", "--max-iter", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: population median did not converge; cannot linearize\n"
+        )
+
     def test_linearized_stratification_runs(self, tmp_path):
         pop = synth_population(
             SynthConfig(n_units=40, points_per_week=7, points_per_day=7, seed=12)
@@ -746,6 +754,62 @@ def test_strata_count_exit_codes(tmp_path, capsys, command, h, code):
         assert "--H must be an integer of at least 2" in capsys.readouterr().err
 
 
+# a centre curve (unit 1) and pairs symmetric around it: the centre is the median
+_SYMMETRIC_CSV = """id,0.125,0.375,0.625,0.875
+1,2,3,4,5
+2,3,3,4,5
+3,1,3,4,5
+4,2,4,4,6
+5,2,2,4,4
+6,2,3,5,4
+7,2,3,3,6
+"""
+_EXCLUDED_NOTE = (
+    "note: 1 curve(s) coincide with the expansion point and are excluded from the linearization\n"
+)
+
+
+def test_a_library_warning_is_one_note_line_before_the_error(toy_csv, tmp_path, capsys):
+    population = tmp_path / "symmetric.csv"
+    population.write_text(_SYMMETRIC_CSV)
+    argv = ["stratify", "--input", str(population), "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == _EXCLUDED_NOTE + (
+        "error: some population curves coincide with the median; their "
+        "linearized variables are undefined\n"
+    )
+
+    # the median of the three sampled curves is one of them
+    path, _ = toy_csv
+    design = tmp_path / "post.json"
+    design.write_text(json.dumps({"type": "poststratified", "n": 3, "strata": [1] * 5 + [2] * 5}))
+    argv = ["estimate", "--input", path, "--design", str(design), "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == _EXCLUDED_NOTE + (
+        "error: variance estimation requires one linearized variable per unit (3), "
+        "got 2; anchored exclusions make the formula undefined\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "stratify-raw", "stratify-linearized"])
+def test_a_negative_seed_is_an_input_error_naming_the_flag(toy_csv, tmp_path, capsys, command):
+    path, _ = toy_csv
+    if command == "estimate":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"type": "srswor", "n": 5}))
+        argv = ["estimate", "--input", path, "--design", str(design)]
+    elif command == "simulate":
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps(dict(n_units=40, points_per_week=14, points_per_day=2, seed=4)))
+        designs = tmp_path / "designs.json"
+        designs.write_text(json.dumps({"n": 20}))
+        argv = ["simulate", "--input", str(synth), "--design", str(designs)]
+    else:
+        argv = ["stratify", "--input", path, "--on", command.split("-")[1], "--H", "2"]
+    assert main([*argv, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, not -1\n"
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [
@@ -753,7 +817,6 @@ def test_strata_count_exit_codes(tmp_path, capsys, command, h, code):
         pytest.param(GridMismatchError("grids differ"), 2, id="GridMismatchError"),
         pytest.param(OSError("no such file"), 2, id="OSError"),
         pytest.param(ValueError("bad value"), 2, id="ValueError"),
-        pytest.param(cli._SolverFailure("no convergence"), 3, id="_SolverFailure"),
         pytest.param(LinearizationError("singular"), 3, id="LinearizationError"),
         pytest.param(DesignError("bad design"), 4, id="DesignError"),
         pytest.param(EstimationError("no estimate"), 4, id="EstimationError"),

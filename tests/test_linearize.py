@@ -11,10 +11,13 @@ with c = 1/r1 + 1/r2, because each rank-one term removes exactly the
 1/r_k of its own coordinate.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from medcurve import CurvePopulation, TimeGrid, linearize
+from medcurve.curves import pointwise_median
 from medcurve.errors import LinearizationError
 from medcurve.linearize import linearized_variables
 from medcurve.solver import SolverConfig, l1_median
@@ -92,6 +95,32 @@ def test_linearized_variables_sum_to_zero_at_the_median():
     diffs = pop.values - fit.median.values
     e = diffs / pop.grid.norms(diffs)[:, None]
     assert np.allclose(lin.values @ lin.gamma.matrix.T, e, atol=1e-9)
+
+
+def test_variables_equal_the_inverse_applied_to_grid_directions_on_an_uneven_grid():
+    rng = np.random.default_rng(41)
+    grid = TimeGrid.from_points(np.sort(rng.uniform(0.0, 3.0, size=9)))
+    pop = CurvePopulation(rng.normal(size=(25, 9)), grid)
+    point = rng.normal(size=9)
+    w = rng.uniform(0.5, 3.0, size=25)
+    lin = linearized_variables(pop, point, weights=w)
+    diffs = pop.values - point
+    want = lin.gamma.solve(diffs / grid.norms(diffs)[:, None])
+    assert np.max(np.abs(lin.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_peak_memory_is_about_twice_the_curve_matrix():
+    # the working array and u are the only N x D arrays ever live
+    rng = np.random.default_rng(47)
+    pop = CurvePopulation(rng.standard_gamma(3.0, size=(4000, 96)), TimeGrid.uniform(96))
+    at = pointwise_median(pop)
+    tracemalloc.start()
+    try:
+        linearized_variables(pop, at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pop.values.nbytes
 
 
 def test_weighted_variables_sum_to_zero_at_the_weighted_median():

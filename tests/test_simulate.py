@@ -8,11 +8,12 @@ import pytest
 
 from medcurve import (
     Curve,
+    CurvePopulation,
     SolverConfig,
     TimeGrid,
 )
 from medcurve import simulate
-from medcurve.errors import GridMismatchError, MedcurveError
+from medcurve.errors import EstimationError, GridMismatchError, MedcurveError
 from medcurve.simulate import (
     DesignPlan,
     SynthConfig,
@@ -220,6 +221,17 @@ class TestStandardSuite:
         )
         with pytest.raises(MedcurveError, match="auxiliary-week median did not converge"):
             standard_design_suite(pop.aux, n=16, n_strata=3, seed=5)
+
+    def test_an_auxiliary_curve_on_the_median_is_refused(self):
+        # a centre curve and pairs symmetric around it: the centre is the
+        # median, and its linearized variable is undefined
+        centre = np.array([2.0, 3.0, 4.0, 5.0])
+        offsets = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, -1.0]])
+        values = np.vstack([centre, centre + offsets, centre - offsets])
+        aux = CurvePopulation(values, TimeGrid.uniform(4))
+        with pytest.warns(UserWarning, match="excluded from the linearization"):
+            with pytest.raises(EstimationError, match="auxiliary-week curves coincide with the median"):
+                standard_design_suite(aux, n=4, n_strata=2, seed=5)
 
 
 class TestMonteCarlo:
