@@ -62,6 +62,9 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_DESIGN = 4
 
+# the eight designs' two loss arrays then take at most 128 MB
+_MAX_REPS = 10**6
+
 # main's exit code for an error: the first entry whose types match decides
 _EXIT_CODES = (
     ((ParseError, GridMismatchError, OSError, ValueError), EXIT_INPUT),
@@ -84,8 +87,6 @@ def _solver_config(args) -> SolverConfig:
 def _require_seed(args) -> int:
     if args.seed is None:
         raise ParseError("this command draws samples; pass an explicit --seed")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be a non-negative integer, not {args.seed}")
     return args.seed
 
 
@@ -192,6 +193,8 @@ def _load_synth_config(path: str) -> SynthConfig:
 
 def cmd_simulate(args) -> int:
     seed = _require_seed(args)
+    if not 1 <= args.reps <= _MAX_REPS:
+        raise ParseError(f"--reps must lie in 1..{_MAX_REPS}, not {args.reps}")
     if len(args.input) == 1:
         synth = _load_synth_config(args.input[0])
         pop = synth_population(synth)
@@ -320,6 +323,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            # every command takes --seed, and refuses a negative one even where it draws nothing
+            if args.seed is not None and args.seed < 0:
+                raise ParseError(f"--seed must be a non-negative integer, not {args.seed}")
             code, error = args.func(args), None
         except (OSError, ValueError, MedcurveError) as exc:
             code, error = next(c for types, c in _EXIT_CODES if isinstance(exc, types)), exc

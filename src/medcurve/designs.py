@@ -53,14 +53,18 @@ def as_seed(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """The n children a first seed.spawn(n) gives, without advancing seed."""
+def child_seeds(seed, n: int | range) -> list[np.random.SeedSequence]:
+    """The children a first seed.spawn gives, without advancing seed.
+
+    An int n gives the first n children; a range gives the children at
+    its indices only, so a block of replicates builds just its own seeds.
+    """
     parent = as_seed(seed)
     return [
         np.random.SeedSequence(
             parent.entropy, spawn_key=parent.spawn_key + (i,), pool_size=parent.pool_size
         )
-        for i in range(n)
+        for i in (n if isinstance(n, range) else range(n))
     ]
 
 
@@ -122,7 +126,8 @@ class SampleDraw:
     units: selected distinct frame positions, ascending. pi: first-order
     inclusion probability per selected unit. design: the design object
     that drew the sample. multiplicities: PPS draw counts per distinct
-    unit, None elsewhere. The arrays are stored as read-only copies.
+    unit, None elsewhere. The arrays are stored as read-only copies and
+    checked; a design's own draw keeps its fresh arrays unchecked.
     """
 
     units: np.ndarray
@@ -148,6 +153,22 @@ class SampleDraw:
             if mult.shape != units.shape or np.any(mult < 1):
                 raise DesignError("multiplicities must be positive and align with units")
             _frozen(self, "multiplicities", mult)
+
+    @classmethod
+    def _trusted(cls, units: np.ndarray, pi: np.ndarray, design, multiplicities=None) -> "SampleDraw":
+        """Keep, read-only and uncopied, the fresh arrays of a design's own draw.
+
+        The design guarantees what __post_init__ checks: int64 units,
+        distinct and ascending; float pi in (0, 1] aligned with them; and
+        positive int64 multiplicities when given.
+        """
+        out = object.__new__(cls)
+        for name, array in (("units", units), ("pi", pi), ("multiplicities", multiplicities)):
+            if array is not None:
+                array.setflags(write=False)
+            object.__setattr__(out, name, array)
+        object.__setattr__(out, "design", design)
+        return out
 
     @property
     def n_units(self) -> int:
@@ -251,7 +272,7 @@ class Srswor:
         """Uniform n-subset of 0..N-1; pi = n/N for every unit."""
         rng = np.random.default_rng(as_seed(seed))
         units = np.sort(rng.choice(self.N, size=self.n, replace=False))
-        return SampleDraw(units, np.full(self.n, self.n / self.N), self)
+        return SampleDraw._trusted(units, np.full(self.n, self.n / self.N), self)
 
     def weights(self, draw: SampleDraw) -> np.ndarray:
         """1/pi_k, calibrated to the group sizes when the design has groups."""
@@ -321,7 +342,7 @@ class Systematic:
         start = rng.uniform(0.0, step)
         ranks = np.floor(start + step * np.arange(n)).astype(np.int64)
         units = np.sort(order[ranks])
-        return SampleDraw(units, np.full(n, n / n_population), self)
+        return SampleDraw._trusted(units, np.full(n, n / n_population), self)
 
     weights = _ht_weights
     variance_estimate = _srswor_estimate
@@ -368,7 +389,7 @@ class Stratified:
             picked.append(members[rng.choice(members.size, size=int(self.alloc[h]), replace=False)])
         units = np.sort(np.concatenate(picked))
         labels = strata.labels[units]
-        return SampleDraw(units, self.alloc[labels] / sizes[labels], self)
+        return SampleDraw._trusted(units, self.alloc[labels] / sizes[labels], self)
 
     weights = _ht_weights
 
@@ -427,7 +448,7 @@ class PpsWr:
         draws = rng.choice(self.N, size=self.n, replace=True, p=self.p / self.p.sum())
         units, mult = np.unique(draws, return_counts=True)
         pi = 1.0 - (1.0 - self.p[units]) ** self.n
-        return SampleDraw(units, pi, self, multiplicities=mult)
+        return SampleDraw._trusted(units, pi, self, multiplicities=mult)
 
     weights = _ht_weights
 

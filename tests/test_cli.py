@@ -390,6 +390,19 @@ class TestSimulateCommand:
         assert losses[0] == "design,replicate,loss,variance_loss"
         assert len(losses) == 3
 
+    @pytest.mark.parametrize("reps", ["0", "1000001", "100000000000"])
+    def test_reps_outside_the_cap_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, reps):
+        def refuse(cfg):
+            raise AssertionError("the population was generated")
+
+        monkeypatch.setattr(cli, "synth_population", refuse)
+        designs = tmp_path / "designs.json"
+        designs.write_text(json.dumps({"n": 10}))
+        argv = ["simulate", "--input", str(self._synth(tmp_path)), "--design", str(designs)]
+        assert main([*argv, "--reps", reps, "--seed", "5", "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: --reps must lie in 1..1000000, not {reps}\n"
+        assert not (tmp_path / "sim").exists()
+
     def test_study_rows_must_list_the_aux_ids_in_order(self, tmp_path, capsys):
         # the same units, the study week listed backwards: pairing rows by
         # position would match each unit's week 1 with another unit's week 2
@@ -791,10 +804,15 @@ def test_a_library_warning_is_one_note_line_before_the_error(toy_csv, tmp_path, 
     )
 
 
-@pytest.mark.parametrize("command", ["estimate", "simulate", "stratify-raw", "stratify-linearized"])
+@pytest.mark.parametrize(
+    "command",
+    ["estimate", "simulate", "stratify-raw", "stratify-linearized", "median", "stratify-scalar-max"],
+)
 def test_a_negative_seed_is_an_input_error_naming_the_flag(toy_csv, tmp_path, capsys, command):
     path, _ = toy_csv
-    if command == "estimate":
+    if command == "median":
+        argv = ["median", "--input", path]
+    elif command == "estimate":
         design = tmp_path / "design.json"
         design.write_text(json.dumps({"type": "srswor", "n": 5}))
         argv = ["estimate", "--input", path, "--design", str(design)]
@@ -805,7 +823,7 @@ def test_a_negative_seed_is_an_input_error_naming_the_flag(toy_csv, tmp_path, ca
         designs.write_text(json.dumps({"n": 20}))
         argv = ["simulate", "--input", str(synth), "--design", str(designs)]
     else:
-        argv = ["stratify", "--input", path, "--on", command.split("-")[1], "--H", "2"]
+        argv = ["stratify", "--input", path, "--on", command.split("-", 1)[1], "--H", "2"]
     assert main([*argv, "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: --seed must be a non-negative integer, not -1\n"
 

@@ -163,6 +163,16 @@ def test_child_seeds_are_a_first_spawn_that_leaves_the_parent_alone(spawn_key):
         assert np.array_equal(got.generate_state(8), want.generate_state(8))
 
 
+def test_child_seeds_of_a_range_are_those_children_alone():
+    parent = np.random.SeedSequence(7, spawn_key=(3,))
+    block = child_seeds(parent, range(5, 8))
+    expected = np.random.SeedSequence(7, spawn_key=(3,)).spawn(8)[5:]
+    assert parent.n_children_spawned == 0
+    assert [c.spawn_key for c in block] == [(3, 5), (3, 6), (3, 7)]
+    for got, want in zip(block, expected):
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+
+
 def test_stratified_rejects_oversized_allocation():
     spec = StrataSpec(np.array([0, 0, 1]))
     with pytest.raises(DesignError, match="stratum"):
@@ -259,6 +269,49 @@ def test_draw_keeps_the_callers_arrays_writable():
     assert not draw.units.flags.writeable and not draw.multiplicities.flags.writeable
     units[0], mult[0] = 1, 3
     assert list(draw.units) == [0, 2] and list(draw.multiplicities) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        Srswor(30, 7),
+        Systematic(np.arange(30.0) % 4, 7),
+        Stratified(StrataSpec(np.arange(30) % 3), [2, 3, 2]),
+        PpsWr(np.arange(1.0, 31.0) / 465.0, 12),
+    ],
+    ids=lambda design: type(design).__name__,
+)
+def test_a_designs_own_draw_equals_the_checked_draw_of_its_arrays(design):
+    for seed in range(5):
+        own = design.draw(seed)
+        checked = SampleDraw(own.units, own.pi, own.design, own.multiplicities)
+        assert own.design is design
+        for name in ("units", "pi", "multiplicities"):
+            a, b = getattr(own, name), getattr(checked, name)
+            if isinstance(design, PpsWr) or name != "multiplicities":
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+            else:
+                assert a is None and b is None
+
+
+@pytest.mark.parametrize(
+    "units, pi, multiplicities, message",
+    [
+        ([], [], None, "at least one unit"),
+        ([[1, 2]], [[0.5, 0.5]], None, "at least one unit"),
+        ([2, 1], [0.5, 0.5], None, "distinct and ascending"),
+        ([1, 1], [0.5, 0.5], None, "distinct and ascending"),
+        ([1, 2], [0.5], None, "align with the selected units"),
+        ([1, 2], [0.0, 0.5], None, "\\(0, 1\\]"),
+        ([1, 2], [0.5, 1.5], None, "\\(0, 1\\]"),
+        ([1, 2], [0.5, 0.5], [1, 0], "multiplicities must be positive"),
+        ([1, 2], [0.5, 0.5], [1], "multiplicities must be positive"),
+    ],
+)
+def test_a_hand_built_draw_is_still_checked(units, pi, multiplicities, message):
+    with pytest.raises(DesignError, match=message):
+        SampleDraw(np.array(units), np.array(pi), Srswor(4, 2), multiplicities)
 
 
 def test_sample_draw_validation():

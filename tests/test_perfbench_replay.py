@@ -5,19 +5,24 @@ library calls (perfbench/replay.py) and capturing the CLI's own results
 through `medcurve.cli.ht_median`, `l1_median` and `monte_carlo_compare`
 (perfbench/worker.py). Its per-layer numbers describe the program only
 while every fidelity flag holds, so this test runs the same trace on small
-inputs and requires all of them.
+inputs and requires all of them, with the simulate replicates run in
+process and in worker processes.
 """
 
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import medcurve.cli as cli
+from medcurve import simulate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_replay_reproduces_every_command(tmp_path, monkeypatch):
+def _fidelity(tmp_path, monkeypatch) -> dict:
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import worker
     from inputs import load_panel, write_curve_csv, write_json
@@ -40,12 +45,28 @@ def test_traced_replay_reproduces_every_command(tmp_path, monkeypatch):
     ]
     result = worker.trace(np, cli, commands, str(tmp_path / "replay"))
     assert result["passes"][0]["rc"] == [0, 0, 0]
-    assert result["fidelity"] == {
-        "simulate.losses": True,
-        "simulate.truth": True,
-        "simulate.output_bytes": True,
-        "median.median": True,
-        "median.output_bytes": True,
-        "estimate.median": True,
-        "estimate.output_bytes": True,
-    }
+    return result["fidelity"]
+
+
+ALL_FAITHFUL = {
+    "simulate.losses": True,
+    "simulate.truth": True,
+    "simulate.output_bytes": True,
+    "median.median": True,
+    "median.output_bytes": True,
+    "estimate.median": True,
+    "estimate.output_bytes": True,
+}
+
+
+def test_traced_replay_reproduces_every_command(tmp_path, monkeypatch):
+    assert _fidelity(tmp_path, monkeypatch) == ALL_FAITHFUL
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="worker processes are forked on Linux only")
+def test_traced_replay_reproduces_a_simulate_run_in_worker_processes(tmp_path, monkeypatch):
+    # 8 designs x 4 replicates fork two workers once each takes 16 or more
+    monkeypatch.setattr(simulate, "_MIN_REPS_PER_WORKER", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert simulate._worker_count(8 * 4) == 2
+    assert _fidelity(tmp_path, monkeypatch) == ALL_FAITHFUL

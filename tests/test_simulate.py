@@ -1,6 +1,8 @@
 """Tests for the synthetic generator and the Monte Carlo harness."""
 
 import dataclasses
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +15,8 @@ from medcurve import (
     TimeGrid,
 )
 from medcurve import simulate
+from medcurve.cli import main
+from medcurve.dataio import write_curves
 from medcurve.errors import EstimationError, GridMismatchError, MedcurveError
 from medcurve.simulate import (
     DesignPlan,
@@ -361,3 +365,101 @@ class TestMonteCarlo:
         srswor = report.outcome("SRSWOR").loss_summary()["mean"]
         strat = report.outcome("STRAT-u-PROP").loss_summary()["mean"]
         assert strat < srswor
+
+
+def awkward_study():
+    """The suite over a small panel whose replicates fail and warn.
+
+    A quarter of the study units share one curve far above the rest, so
+    many samples' medians land on it and their linearization leaves those
+    units out with a warning; with n = 16 poststratified draws often miss a
+    k-means group, and some strata get one sampled unit.
+    """
+    panel = synth_population(SynthConfig(n_units=120, points_per_week=8, points_per_day=8, seed=3))
+    values = np.array(panel.study.values)
+    values[:30] = 3.0 * values.mean(axis=0)
+    study = CurvePopulation(values, panel.study.grid, panel.study.ids)
+    return panel.aux, study
+
+
+def force_workers(monkeypatch):
+    """Fork two workers for any run of 10 replicates or more, in blocks of at most 5."""
+    monkeypatch.setattr(simulate, "_MIN_REPS_PER_WORKER", 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert simulate._worker_count(10) == 2
+
+
+def no_child_process_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="worker processes are forked on Linux only")
+class TestWorkerProcesses:
+    def _compare(self):
+        aux, study = awkward_study()
+        plans = standard_design_suite(aux, n=16, n_strata=4, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = monte_carlo_compare(study, plans, replicates=24, seed=3)
+        return report, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    def test_workers_give_the_in_process_report_and_warnings(self, monkeypatch):
+        serial, serial_warnings = self._compare()
+        force_workers(monkeypatch)
+        pooled, pooled_warnings = self._compare()
+        assert pooled.truth.values.tobytes() == serial.truth.values.tobytes()
+        assert [o.name for o in pooled.outcomes] == list(simulate.SUITE_NAMES)
+        for a, b in zip(pooled.outcomes, serial.outcomes):
+            assert a.losses.tobytes() == b.losses.tobytes()
+            assert (a.variance_losses is None) == (b.variance_losses is None)
+            if a.variance_losses is not None:
+                assert a.variance_losses.tobytes() == b.variance_losses.tobytes()
+            assert (a.estimate_failures, a.variance_failures) == (
+                b.estimate_failures,
+                b.variance_failures,
+            )
+        assert serial.outcome("POST").estimate_failures >= 1
+        assert sum(o.variance_failures for o in serial.outcomes) >= 1
+        assert any("excluded from the linearization" in w[0] for w in serial_warnings)
+        assert pooled_warnings == serial_warnings
+        no_child_process_remains()
+
+    def test_workers_print_the_same_note_lines(self, tmp_path, monkeypatch, capsys):
+        aux, study = awkward_study()
+        write_curves(tmp_path / "aux.csv", aux)
+        write_curves(tmp_path / "study.csv", study)
+        designs = tmp_path / "designs.json"
+        designs.write_text('{"n": 16, "n_strata": 4}')
+        argv = ["simulate", "--input", str(tmp_path / "aux.csv"), str(tmp_path / "study.csv")]
+        argv += ["--design", str(designs), "--reps", "24", "--seed", "3"]
+        outputs = []
+        for forced in (False, True):
+            if forced:
+                force_workers(monkeypatch)
+            out = tmp_path / str(forced)
+            assert main([*argv, "--out", str(out)]) == 0
+            files = {name: (out / name).read_bytes() for name in ("report.json", "losses.csv")}
+            outputs.append((capsys.readouterr().err, files))
+        assert outputs[0] == outputs[1]
+        assert "excluded from the linearization" in outputs[0][0]
+        assert all(line.startswith("note: ") for line in outputs[0][0].splitlines())
+
+    @pytest.mark.parametrize("failure", ["raises", "dies"])
+    def test_no_worker_outlives_a_failed_block(self, monkeypatch, failure):
+        # a worker that dies fails the run instead of leaving it waiting for its block
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken(estimate, truth):
+            if failure == "dies":
+                os._exit(9)
+            raise RuntimeError("loss failed in a worker")
+
+        force_workers(monkeypatch)
+        monkeypatch.setattr(simulate, "loss_r_median", broken)
+        pop = synth_population(small_cfg(n_units=50))
+        plans = [DesignPlan(name="SRSWOR", kind="srswor", n=10)]
+        expected = BrokenProcessPool if failure == "dies" else RuntimeError
+        with pytest.raises(expected):
+            monte_carlo_compare(pop.study, plans, replicates=12, seed=8)
+        no_child_process_remains()
