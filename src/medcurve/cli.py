@@ -8,8 +8,8 @@ and stratify (cluster a population and compute allocations).
 Every stochastic command requires an explicit --seed; there is no
 implicit random seed. Outputs are plain CSV (12 significant digits) and
 JSON (sorted keys), byte-identical across reruns with the same inputs,
-flags, and seed. Exit codes: 0 success, 2 input error, 3 solver failure,
-4 design error.
+flags, and seed. Exit codes: 0 success, 2 input error, 3 solver failure
+or a worker process that died, 4 design error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
 )
 from .estimators import ht_median, weighted_median
+from .forking import worker_died
 from .simulate import (
     SUITE_NAMES,
     SynthConfig,
@@ -329,6 +330,11 @@ def main(argv=None) -> int:
             code, error = args.func(args), None
         except (OSError, ValueError, MedcurveError) as exc:
             code, error = next(c for types, c in _EXIT_CODES if isinstance(exc, types)), exc
+        except Exception as exc:
+            # killed (say, for memory) or crashed in native code
+            if not worker_died(exc):
+                raise
+            code, error = EXIT_SOLVER, f"a worker process died: {exc}"
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"note: {message}", file=sys.stderr)
     if error is not None:

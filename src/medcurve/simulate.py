@@ -25,8 +25,6 @@ replicates among forked worker processes without changing a byte.
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,6 +37,7 @@ from .dataio import _finite, _is_int
 from .designs import DESIGNS, StrataSpec, as_seed, child_seeds, pps_weights_from_curves
 from .errors import EstimationError, GridMismatchError, MedcurveError
 from .estimators import weighted_median
+from .forking import forked_map, worker_count
 from .linearize import LinearizedSet, linearized_variables
 from .solver import SolverConfig, l1_median
 from .stratify import kmeans_strata, optimal_allocation, proportional_allocation, quartile_strata
@@ -391,60 +390,16 @@ def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> _Block:
 # replicates, so a worker left with the last block waits little.
 _MIN_REPS_PER_WORKER = 64
 
-# the job of a forked worker; set only in the worker, by _start_worker
-_worker_job: _Replicates | None = None
-
-
-def _start_worker(job: _Replicates) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_block(block: tuple) -> _Block:
-    return _run_block(_worker_job, *block)
-
-
-def _worker_count(replicates: int) -> int:
-    """Processes to run `replicates` in: one per usable CPU that gets enough of them.
-
-    Workers are forked, on Linux only: a forked worker shares the parent's
-    population and modules without pickling or importing them, while
-    macOS's system frameworks are not fork-safe and Windows has no fork.
-    """
-    if sys.platform != "linux":
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), replicates // _MIN_REPS_PER_WORKER))
-
 
 @contextmanager
 def _block_results(job: _Replicates, blocks: list):
     """Each block's _Block in block order, from forked workers when they pay, else in process."""
-    workers = _worker_count(sum(hi - lo for _, lo, hi in blocks))
+    workers = worker_count(sum(hi - lo for _, lo, hi in blocks), _MIN_REPS_PER_WORKER)
     if workers < 2:
         yield (_run_block(job, *block) for block in blocks)
-        return
-    # 10 ms of imports that only a forking run needs
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # unlike multiprocessing.Pool, which waits forever for a block whose
-    # worker died, the executor then raises BrokenProcessPool
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(job,)
-    )
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that fork() in a multi-threaded process may
-            # deadlock; numpy's OpenBLAS has started its threads by now, and
-            # it shuts them down around a fork. Unfiltered, the warning would
-            # reach the CLI as a note carrying a pid.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-            )
-            results = pool.map(_worker_block, blocks)  # forks the workers, queues every block
-        yield results
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    else:
+        with forked_map(_run_block, job, blocks, workers) as results:
+            yield results
 
 
 def monte_carlo_compare(

@@ -1,7 +1,11 @@
 """CSV and design JSON round trips and failure modes."""
 
+import io
 import json
+import os
+import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from medcurve import CurvePopulation, ParseError, TimeGrid, dataio
+from medcurve.cli import main
 from medcurve.dataio import (
     design_from_json,
     load_design,
@@ -20,6 +25,8 @@ from medcurve.dataio import (
     write_variance,
 )
 from medcurve.errors import DesignError
+from medcurve.forking import worker_count
+from test_simulate import no_child_process_remains
 
 # str.splitlines breaks lines at these, file iteration does not
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
@@ -283,6 +290,191 @@ def assert_reads_as_per_line(path):
     assert got.ids.dtype == want.ids.dtype and np.array_equal(got.ids, want.ids)
     assert np.array_equal(got.grid.points, want.grid.points)
     assert np.array_equal(got.grid.weights, want.grid.weights)
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="spans are forked on Linux only")
+
+
+def force_split(monkeypatch, cpus=3):
+    """Cut every plain body of two lines or more into up to `cpus` spans, one read here."""
+    monkeypatch.setattr(dataio, "_MIN_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert worker_count(2, dataio._MIN_BYTES_PER_WORKER) == 2
+
+
+def record_spans(monkeypatch) -> list:
+    """The (lo, hi, lines) spans of each split read, appended as it starts."""
+    seen = []
+    split = dataio._rows_in_spans
+
+    def rows_in_spans(path, d, spans):
+        seen.append(spans)
+        return split(path, d, spans)
+
+    monkeypatch.setattr(dataio, "_rows_in_spans", rows_in_spans)
+    return seen
+
+
+def refuse_per_line(monkeypatch):
+    def per_line(path):
+        raise AssertionError("a plain file reached the per-line parser")
+
+    monkeypatch.setattr(dataio, "_read_per_line", per_line)
+
+
+def plain_read(path):
+    """What the bulk path decides: a population, None (in doubt) or its error's text."""
+    try:
+        return dataio._read_plain(str(path))
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_decision(a, b):
+    if isinstance(a, CurvePopulation) and isinstance(b, CurvePopulation):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.ids.dtype == b.ids.dtype and np.array_equal(a.ids, b.ids)
+        assert a.grid.points.tobytes() == b.grid.points.tobytes()
+    else:
+        assert a == b
+
+
+@linux_only
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_split_reader_matches_the_whole_and_the_per_line_reader(tmp_path, monkeypatch, text):
+    # the bulk test's files, each body cut into up to three spans, two of them read by forked workers
+    path = tmp_path / "pop.csv"
+    path.write_bytes(text.encode("utf-8"))
+    whole = plain_read(path)
+    with monkeypatch.context() as patch:
+        force_split(patch)
+        split = plain_read(path)
+        assert_reads_as_per_line(path)
+    # the spans are in doubt exactly when the whole body is, and otherwise agree bit for bit
+    assert_same_decision(split, whole)
+    no_child_process_remains()
+
+
+ROWS = [f"{i},{i}.25,-{i}e3" for i in range(1, 10)]
+
+
+@linux_only
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("last_ended", [True, False])
+def test_split_read_needs_no_per_line_parse(tmp_path, monkeypatch, ending, last_ended):
+    path = tmp_path / "pop.csv"
+    path.write_bytes((ending.join(["id,0.5,1.5", *ROWS]) + (ending if last_ended else "")).encode())
+    force_split(monkeypatch)
+    seen = record_spans(monkeypatch)
+    refuse_per_line(monkeypatch)
+    got = read_curves(path)
+    # three spans whose line counts (the rows each writes) sum to the rows
+    assert len(seen) == 1 and len(seen[0]) == 3
+    assert sum(lines for _, _, lines in seen[0]) == len(ROWS)
+    assert np.array_equal(got.values, [[i + 0.25, -i * 1e3] for i in range(1, 10)])
+    assert list(got.ids) == list(range(1, 10))
+    assert not got.values.flags.writeable
+    no_child_process_remains()
+
+
+@linux_only
+@pytest.mark.parametrize("after", range(1, len(ROWS)))
+def test_a_cut_next_to_a_blank_line(tmp_path, monkeypatch, after):
+    path = tmp_path / "pop.csv"
+    path.write_text("\n".join(["id,0.5,1.5", *ROWS[:after], "", *ROWS[after:]]) + "\n")
+    force_split(monkeypatch, cpus=2)
+    assert_reads_as_per_line(path)
+    no_child_process_remains()
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "fault, message",
+    [("7,x,1", "non-numeric"), ("7,inf,1", "non-finite"), ("3,1,1", "duplicate unit id '3'")],
+)
+def test_a_fault_in_the_second_span_names_its_line(tmp_path, monkeypatch, fault, message):
+    path = tmp_path / "pop.csv"
+    rows = [f"{i},{i}.5,2" for i in range(1, 200)]
+    path.write_text("\n".join(["id,0.5,1.5", *rows[:180], fault, *rows[181:]]) + "\n")
+    force_split(monkeypatch, cpus=2)
+    seen = record_spans(monkeypatch)
+    with pytest.raises(ParseError, match=message) as err:
+        read_curves(path)
+    assert err.value.line == 182
+    assert len(seen[0]) == 2 and seen[0][1][0] < path.read_bytes().index(fault.encode())
+    assert_reads_as_per_line(path)
+    no_child_process_remains()
+
+
+@linux_only
+def test_bytes_that_are_not_utf8_in_the_second_span_name_their_line(tmp_path, monkeypatch):
+    # past the part of the file that reading the header decodes
+    path = tmp_path / "pop.csv"
+    rows = [f"{i},{i}.5,2" for i in range(1, 2000)]
+    path.write_bytes(("id,0.5,1.5\n" + "\n".join(rows) + "\n").encode() + b"7,\xc3(,1\n")
+    force_split(monkeypatch, cpus=2)
+    seen = record_spans(monkeypatch)
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        read_curves(path)
+    assert err.value.line == 2001
+    assert len(seen[0]) == 2 and seen[0][1][0] > 2**13
+    no_child_process_remains()
+
+
+@linux_only
+def test_a_reader_worker_that_dies_fails_the_read_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "pop.csv"
+    path.write_text("\n".join(["id,0.5,1.5", *ROWS]) + "\n")
+    reader, rows = os.getpid(), dataio._rows
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != reader:
+            os._exit(9)
+        return rows(*args)
+
+    monkeypatch.setattr(dataio, "_rows", dies_in_a_worker)
+    force_split(monkeypatch)
+    with pytest.raises(BrokenProcessPool):
+        read_curves(path)
+    no_child_process_remains()
+    assert main(["median", "--input", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    no_child_process_remains()
+
+
+def test_small_bodies_and_one_usable_cpu_fork_nothing(tmp_path, monkeypatch):
+    def forked_map(*args):
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(dataio, "forked_map", forked_map)
+    path = tmp_path / "pop.csv"
+    path.write_text("\n".join(["id,0.5,1.5", *ROWS]) + "\n")
+    want = read_curves(path)  # under the byte threshold on this machine
+    monkeypatch.setattr(dataio, "_MIN_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_same_decision(read_curves(path), want)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert_same_decision(read_curves(path), want)
+
+
+def test_line_ends_across_read_chunks():
+    # a \r that ends one chunk and a \n that starts the next are one line end
+    for end in (b"\r\n", b"\r", b"\n"):
+        # the cut is sought from the midpoint, the start of the second line,
+        # and the line's end closes the first 64 KiB read from there
+        second = b"y" * (2**16 - 1) + end + b"z\n"
+        data = b"x" * (len(second) - 1) + b"\n" + second
+        spans = dataio._spans(io.BytesIO(data), 0, len(data), 2)
+        cut = len(data) - 2
+        assert [(lo, hi, lines) for lo, hi, lines in spans] == [(0, cut, 2), (cut, len(data), 1)]
+    chunk = 2**20
+    for tail, lines in ((b"\r\nb\rc", 3), (b"\rb", 2), (b"\r", 1), (b"\n\n", 2)):
+        data = b"a" * (chunk - 1) + tail
+        assert dataio._line_count(io.BytesIO(data), 0, len(data)) == lines
 
 
 def test_single_curve_and_variance_writers(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 import medcurve.cli as cli
 from medcurve import simulate
+from medcurve.forking import worker_count
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,5 +69,5 @@ def test_traced_replay_reproduces_a_simulate_run_in_worker_processes(tmp_path, m
     # 8 designs x 4 replicates fork two workers once each takes 16 or more
     monkeypatch.setattr(simulate, "_MIN_REPS_PER_WORKER", 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert simulate._worker_count(8 * 4) == 2
+    assert worker_count(8 * 4, simulate._MIN_REPS_PER_WORKER) == 2
     assert _fidelity(tmp_path, monkeypatch) == ALL_FAITHFUL

@@ -1,6 +1,7 @@
 """Tests for the synthetic generator and the Monte Carlo harness."""
 
 import dataclasses
+import json
 import os
 import sys
 import warnings
@@ -18,6 +19,7 @@ from medcurve import simulate
 from medcurve.cli import main
 from medcurve.dataio import write_curves
 from medcurve.errors import EstimationError, GridMismatchError, MedcurveError
+from medcurve.forking import worker_count
 from medcurve.simulate import (
     DesignPlan,
     SynthConfig,
@@ -386,7 +388,7 @@ def force_workers(monkeypatch):
     """Fork two workers for any run of 10 replicates or more, in blocks of at most 5."""
     monkeypatch.setattr(simulate, "_MIN_REPS_PER_WORKER", 5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert simulate._worker_count(10) == 2
+    assert worker_count(10, simulate._MIN_REPS_PER_WORKER) == 2
 
 
 def no_child_process_remains():
@@ -462,4 +464,19 @@ class TestWorkerProcesses:
         expected = BrokenProcessPool if failure == "dies" else RuntimeError
         with pytest.raises(expected):
             monte_carlo_compare(pop.study, plans, replicates=12, seed=8)
+        no_child_process_remains()
+
+    def test_a_worker_that_dies_ends_the_command_in_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def dies(estimate, truth):
+            os._exit(9)
+
+        force_workers(monkeypatch)
+        monkeypatch.setattr(simulate, "loss_r_median", dies)
+        config, designs = tmp_path / "synth.json", tmp_path / "designs.json"
+        config.write_text(json.dumps(dataclasses.asdict(small_cfg(n_units=50))))
+        designs.write_text('{"n": 10, "include": ["SRSWOR"]}')
+        argv = ["simulate", "--input", str(config), "--design", str(designs), "--reps", "12"]
+        assert main([*argv, "--seed", "8", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
         no_child_process_remains()
