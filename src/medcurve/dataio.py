@@ -10,11 +10,11 @@ otherwise a uniform grid on [0, 1] is assumed. A value cell holds anything
 plain file (header on line 1, D commas per row) is parsed by
 ``np.loadtxt``. A small body, or any body off Linux or on one usable CPU,
 is parsed in process by one call whose matrix is kept uncopied. A larger
-body is cut after line ends into byte spans, one per usable CPU; this
-process parses the first and forked workers the others, each writing its
-rows into one shared mapping that becomes the read-only matrix, and only
-the labels come back. In any doubt the file is parsed line by line with
-``float()``, which also names the bad line. The result never depends on
+body is cut after line ends into byte spans, one per usable CPU, which
+forked workers parse (this process, if the OS refuses a fork), each
+writing its rows into one shared mapping that becomes the read-only
+matrix; only the labels come back. In any doubt the file is parsed line
+by line with ``float()``, which also names the bad line. The result never depends on
 the path taken.
 Floats are written with 12 significant digits, which round-trips the
 values used here well below every tolerance in the test suite.
@@ -81,13 +81,14 @@ def _plain(line: str) -> bool:
     return not any(c in line for c in _SPLIT_ONLY)
 
 
-# A plain file's body is split among processes only when each gets at least
-# this many bytes. On a 2-vCPU Xeon (15 alternating reads of 336-point
-# curves, multiprocessing already imported), two processes instead of one
-# took 57 ms instead of 60 at 4.6 MiB (faster in 10 of 15), 93 instead of
-# 118 at 9.1 MiB (13 of 15) and 135 instead of 185 at 13.7 MiB (15 of 15):
-# the line count, the fork and the pool's shutdown cost about 25 ms. A
-# process's first forking read also imports multiprocessing, about 30 ms.
+# A plain file's body is split among forked workers only when each gets at
+# least this many bytes. On a 2-vCPU Xeon (two runs of 15 alternating reads
+# of 336-point curves, multiprocessing already imported), two workers took
+# 51 and 55 ms against one in-process read's 44 and 64 at 4.6 MiB (faster
+# in 6 and 13 of 15), 85 and 98 against 93 and 115 at 9.1 MiB (12 and 12)
+# and 139 and 109 against 197 and 138 at 13.7 MiB (15 and 13): the line
+# count, two forks and the pool's shutdown cost about 25 ms. A process's
+# first forking read also imports multiprocessing, about 30 ms.
 _MIN_BYTES_PER_WORKER = 4 * 2**20
 
 
@@ -95,11 +96,11 @@ def _read_plain(path: str) -> CurvePopulation | None:
     """Header on line 1, then the body's values by np.loadtxt.
 
     A small body is parsed by one call whose matrix is kept uncopied. A
-    large one is cut after line ends into one span per usable CPU; the
-    first span is parsed here, the others in forked workers, all into one
-    shared matrix. None when in doubt (a line not _plain or blank or not D
-    commas long, a cell numpy rejects, a non-finite value, a repeated id);
-    _read_per_line then decides.
+    large one is cut after line ends into one span per usable CPU, each
+    parsed by a forked worker into one shared matrix. None when in doubt
+    (a line not _plain or blank or not D commas long, a cell numpy
+    rejects, a non-finite value, a repeated id); _read_per_line then
+    decides.
     """
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
@@ -219,7 +220,7 @@ def _fill(state: tuple, lo: int, hi: int, r0: int, r1: int) -> list | None:
 
 
 def _rows_in_spans(path: str, d: int, spans: list) -> tuple | None:
-    """_rows over every span, the first here and the others in forked workers.
+    """_rows over every span, each in a forked worker.
 
     The workers write their values straight into one anonymous shared
     mapping, the matrix returned, and send back only their labels.
@@ -227,11 +228,7 @@ def _rows_in_spans(path: str, d: int, spans: list) -> tuple | None:
     bounds = list(accumulate((lines for _, _, lines in spans), initial=0))
     matrix = np.frombuffer(mmap.mmap(-1, bounds[-1] * d * 8), np.float64).reshape(-1, d)
     jobs = [(lo, hi, r0, r1) for (lo, hi, _), r0, r1 in zip(spans, bounds, bounds[1:])]
-    state = (path, d, matrix)
-    with forked_map(_fill, state, jobs[1:], len(jobs) - 1) as results:
-        parts = [_fill(state, *jobs[0])]
-        if parts[0] is not None:
-            parts += results
+    parts = forked_map(_fill, (path, d, matrix), jobs, len(jobs))
     if any(part is None for part in parts):
         return None
     return [label for part in parts for label in part], matrix
@@ -384,15 +381,17 @@ def _is_list_of(value, ok) -> bool:
 
 
 def load_json(path: str | os.PathLike) -> Any:
-    """Parse a JSON file, read with universal newlines; a fault raises ParseError.
+    """Parse a JSON file; a fault raises ParseError, on its line where there is one.
 
-    A byte that is not UTF-8 is reported on the line its preceding LF bytes give.
+    Lines end at \\n, \\r or \\r\\n, for a byte that is not UTF-8 as for a
+    syntax error: the line ends become \\n before decoding, which is safe as
+    neither byte occurs inside a multi-byte UTF-8 sequence.
     """
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
     except UnicodeDecodeError as exc:

@@ -1,9 +1,10 @@
-"""Forked worker processes: how many to start, and a pool that leaves none behind.
+"""Forked worker processes: how many to start, and the one map that runs on them.
 
 Work that holds the GIL is split among processes, not threads. Workers
 are forked, on Linux only: a forked worker shares the parent's arrays and
 modules without pickling or importing them, while macOS's system
-frameworks are not fork-safe and Windows has no fork.
+frameworks are not fork-safe and Windows has no fork. Only forked_map
+starts and stops workers, and runs their jobs here when they cannot be.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 
 __all__ = ["worker_count", "forked_map", "worker_died"]
 
@@ -40,36 +40,46 @@ def _run(job: tuple):
     return _fn(_state, *job)
 
 
-@contextmanager
-def forked_map(fn, state, jobs: list, workers: int):
-    """Yield fn(state, *job) for each job, in job order, run in `workers` forked processes.
+def forked_map(fn, state, jobs: list, workers: int) -> list:
+    """[fn(state, *job) for job in jobs], in job order, in `workers` forked processes.
 
-    state reaches the workers through the fork, unpickled, so it may hold a
-    shared mapping; each job and its result are pickled. fn must be a
-    module-level function. The pool is shut down, and its workers joined,
-    when the block exits on any path. A worker that dies makes the results
-    raise BrokenProcessPool instead of waiting for it (worker_died).
+    Below two workers, or when the OS refuses a fork, the jobs run in this
+    process; a refusal kills the workers already forked and warns once
+    (RuntimeWarning). state reaches the workers through the fork, unpickled,
+    so it may hold a shared mapping; each job and its result are pickled.
+    A job's error is raised here, a worker that dies raises
+    BrokenProcessPool (worker_died), and no worker outlives the call.
     """
-    # about 30 ms of imports that only a forking run needs
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:
+        # about 30 ms of imports that only a forking run needs
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), initializer=_start, initargs=(fn, state)
-    )
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that fork() in a multi-threaded process may
-            # deadlock; numpy's OpenBLAS has started its threads by now, and
-            # it shuts them down around a fork. Unfiltered, the warning would
-            # reach the CLI as a note carrying a pid.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-            )
-            results = pool.map(_run, jobs)  # forks the workers, queues every job
-        yield results
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        context = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(workers, context, initializer=_start, initargs=(fn, state))
+        try:
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that fork() in a multi-threaded process may
+                    # deadlock; numpy's OpenBLAS shuts its threads down around a fork.
+                    # Unfiltered, the warning would reach the CLI as a note with a pid.
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+                    )
+                    results = pool.map(_run, jobs)  # forks every worker, queues every job
+            except OSError as exc:  # the OS refused a fork
+                # the workers forked before it wait for jobs the pool never
+                # sends, and shutting the pool down does not stop them
+                for process in pool._processes.values():
+                    process.kill()
+                    process.join()
+                message = f"could not fork a worker process ({exc}); the work ran in this process"
+                warnings.warn(message, RuntimeWarning)
+            else:
+                return list(results)  # a job's own error, OSError too, is raised here
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return [fn(state, *job) for job in jobs]
 
 
 def worker_died(exc: BaseException) -> bool:

@@ -18,15 +18,15 @@ integrated absolute loss against the full-population median; designs with
 closed-form variance estimators also get a per-replicate loss between the
 estimated and asymptotic variance functions. Seeds derive from the master
 seed by design index then replicate index, so reports are reproducible
-and independent of execution order, and large runs can split the
-replicates among forked worker processes without changing a byte.
+and independent of execution order: large runs split the replicates
+among forked worker processes, or run them all here when the OS refuses
+a fork, without changing a byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -391,17 +391,6 @@ def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> _Block:
 _MIN_REPS_PER_WORKER = 64
 
 
-@contextmanager
-def _block_results(job: _Replicates, blocks: list):
-    """Each block's _Block in block order, from forked workers when they pay, else in process."""
-    workers = worker_count(sum(hi - lo for _, lo, hi in blocks), _MIN_REPS_PER_WORKER)
-    if workers < 2:
-        yield (_run_block(job, *block) for block in blocks)
-    else:
-        with forked_map(_run_block, job, blocks, workers) as results:
-            yield results
-
-
 def monte_carlo_compare(
     study: CurvePopulation,
     plans,
@@ -422,9 +411,10 @@ def monte_carlo_compare(
 
     Each plan's replicates run in contiguous blocks. On Linux, once the run
     gives every usable CPU _MIN_REPS_PER_WORKER replicates or more, the
-    blocks run in forked worker processes, one per usable CPU; otherwise
-    in this process. The report is the same either way, and the warnings
-    the replicates raise are re-issued here in replicate order.
+    blocks run in forked worker processes, one per usable CPU; otherwise,
+    or with one RuntimeWarning when the OS refuses a fork, in this
+    process (forking.forked_map). The report is the same either way, and
+    the replicates' warnings are raised again here in replicate order.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -461,14 +451,14 @@ def monte_carlo_compare(
     var_losses = [np.full(replicates, np.nan) for _ in plans]
     est_fail, var_fail = [0] * len(plans), [0] * len(plans)
     registry: dict = {}  # shows a repeated warning once per call under the default filter
-    with _block_results(job, blocks) as results:
-        for (d, lo, hi), block in zip(blocks, results):
-            losses[d][lo:hi] = block.losses
-            var_losses[d][lo:hi] = block.variance_losses
-            est_fail[d] += block.estimate_failures
-            var_fail[d] += block.variance_failures
-            for w in block.warnings:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
+    workers = worker_count(len(plans) * replicates, _MIN_REPS_PER_WORKER)
+    for (d, lo, hi), block in zip(blocks, forked_map(_run_block, job, blocks, workers)):
+        losses[d][lo:hi] = block.losses
+        var_losses[d][lo:hi] = block.variance_losses
+        est_fail[d] += block.estimate_failures
+        var_fail[d] += block.variance_failures
+        for w in block.warnings:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
     outcomes = tuple(
         DesignOutcome(
             name=plan.name,

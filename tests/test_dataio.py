@@ -26,7 +26,8 @@ from medcurve.dataio import (
 )
 from medcurve.errors import DesignError
 from medcurve.forking import worker_count
-from test_simulate import no_child_process_remains
+
+from conftest import no_child_process_remains, refuse_fork
 
 # str.splitlines breaks lines at these, file iteration does not
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
@@ -152,6 +153,8 @@ def test_plain_file_is_read_in_one_numpy_call(tmp_path, monkeypatch):
         raise AssertionError("a plain numeric file reached the per-line parser")
 
     monkeypatch.setattr(dataio, "_read_per_line", per_line)
+    # on one usable CPU, so that no worker parses what tracemalloc cannot see
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tracemalloc.start()
     try:
         got = read_curves(path)
@@ -296,7 +299,7 @@ linux_only = pytest.mark.skipif(sys.platform != "linux", reason="spans are forke
 
 
 def force_split(monkeypatch, cpus=3):
-    """Cut every plain body of two lines or more into up to `cpus` spans, one read here."""
+    """Cut every plain body of two lines or more into up to `cpus` spans, each read by a worker."""
     monkeypatch.setattr(dataio, "_MIN_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert worker_count(2, dataio._MIN_BYTES_PER_WORKER) == 2
@@ -445,6 +448,33 @@ def test_a_reader_worker_that_dies_fails_the_read_and_leaves_no_child(tmp_path, 
     no_child_process_remains()
 
 
+@linux_only
+@pytest.mark.parametrize("nth", [1, 2])
+def test_a_refused_fork_reads_the_spans_here_with_one_warning(tmp_path, monkeypatch, capsys, nth):
+    path = tmp_path / "pop.csv"
+    path.write_text("\n".join(["id,0.5,1.5", *ROWS]) + "\n")
+    want = read_curves(path)  # under the byte threshold on this machine
+    assert main(["median", "--input", str(path), "--out", str(tmp_path / "whole")]) == 0
+    assert capsys.readouterr().err == ""
+    force_split(monkeypatch, cpus=2)
+    seen = record_spans(monkeypatch)
+    refuse_per_line(monkeypatch)
+    refuse_fork(monkeypatch, nth)
+    with pytest.warns(RuntimeWarning) as caught:
+        got = read_curves(path)
+    assert len(caught) == 1 and "could not fork a worker process" in str(caught[0].message)
+    assert len(seen) == 1 and len(seen[0]) == 2
+    assert_same_decision(got, want)
+    no_child_process_remains()
+    assert main(["median", "--input", str(path), "--out", str(tmp_path / "split")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("note: could not fork a worker process") and err.count("\n") == 1
+    for name in ("median.csv", "diagnostics.json"):
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    assert len(seen) == 2
+    no_child_process_remains()
+
+
 def test_small_bodies_and_one_usable_cpu_fork_nothing(tmp_path, monkeypatch):
     def forked_map(*args):
         raise AssertionError("a worker was forked")
@@ -552,8 +582,18 @@ def test_design_json_load_and_validation(tmp_path):
 
 
 def test_json_that_is_not_utf8_names_its_line(tmp_path):
-    # the line counts the \n before the bad byte; the bare \r ends no line
+    # the line counts the \n and the bare \r before the bad byte
     path = tmp_path / "design.json"
     path.write_bytes(b'{"type": "srswor",\n"n": 5,\r"x": "\xff"}\n')
-    with pytest.raises(ParseError, match=r"design\.json:2: not UTF-8 text"):
+    with pytest.raises(ParseError, match=r"design\.json:3: not UTF-8 text"):
         load_json(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+@pytest.mark.parametrize("fault, message", [(b'"\xff"', "not UTF-8 text"), (b"5 6", "invalid JSON")])
+def test_a_json_fault_names_its_line_whatever_the_line_ends(tmp_path, end, fault, message):
+    path = tmp_path / "design.json"
+    path.write_bytes(end.encode().join([b'{"type": "srswor",', b'"n": 5,', b'"x": ' + fault, b"}", b""]))
+    with pytest.raises(ParseError, match=message) as err:
+        load_json(path)
+    assert err.value.line == 3

@@ -31,6 +31,8 @@ from medcurve.simulate import (
 )
 from medcurve.variance import VarianceFunction
 
+from conftest import no_child_process_remains, refuse_fork
+
 
 def small_cfg(**overrides):
     base = dict(
@@ -391,11 +393,6 @@ def force_workers(monkeypatch):
     assert worker_count(10, simulate._MIN_REPS_PER_WORKER) == 2
 
 
-def no_child_process_remains():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="worker processes are forked on Linux only")
 class TestWorkerProcesses:
     def _compare(self):
@@ -406,10 +403,8 @@ class TestWorkerProcesses:
             report = monte_carlo_compare(study, plans, replicates=24, seed=3)
         return report, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
-    def test_workers_give_the_in_process_report_and_warnings(self, monkeypatch):
-        serial, serial_warnings = self._compare()
-        force_workers(monkeypatch)
-        pooled, pooled_warnings = self._compare()
+    @staticmethod
+    def _assert_same_report(pooled, serial):
         assert pooled.truth.values.tobytes() == serial.truth.values.tobytes()
         assert [o.name for o in pooled.outcomes] == list(simulate.SUITE_NAMES)
         for a, b in zip(pooled.outcomes, serial.outcomes):
@@ -421,6 +416,23 @@ class TestWorkerProcesses:
                 b.estimate_failures,
                 b.variance_failures,
             )
+
+    @staticmethod
+    def _simulate_argv(tmp_path):
+        """simulate over awkward_study's weeks, written to tmp_path, without --out."""
+        aux, study = awkward_study()
+        write_curves(tmp_path / "aux.csv", aux)
+        write_curves(tmp_path / "study.csv", study)
+        designs = tmp_path / "designs.json"
+        designs.write_text('{"n": 16, "n_strata": 4}')
+        argv = ["simulate", "--input", str(tmp_path / "aux.csv"), str(tmp_path / "study.csv")]
+        return argv + ["--design", str(designs), "--reps", "24", "--seed", "3"]
+
+    def test_workers_give_the_in_process_report_and_warnings(self, monkeypatch):
+        serial, serial_warnings = self._compare()
+        force_workers(monkeypatch)
+        pooled, pooled_warnings = self._compare()
+        self._assert_same_report(pooled, serial)
         assert serial.outcome("POST").estimate_failures >= 1
         assert sum(o.variance_failures for o in serial.outcomes) >= 1
         assert any("excluded from the linearization" in w[0] for w in serial_warnings)
@@ -428,13 +440,7 @@ class TestWorkerProcesses:
         no_child_process_remains()
 
     def test_workers_print_the_same_note_lines(self, tmp_path, monkeypatch, capsys):
-        aux, study = awkward_study()
-        write_curves(tmp_path / "aux.csv", aux)
-        write_curves(tmp_path / "study.csv", study)
-        designs = tmp_path / "designs.json"
-        designs.write_text('{"n": 16, "n_strata": 4}')
-        argv = ["simulate", "--input", str(tmp_path / "aux.csv"), str(tmp_path / "study.csv")]
-        argv += ["--design", str(designs), "--reps", "24", "--seed", "3"]
+        argv = self._simulate_argv(tmp_path)
         outputs = []
         for forced in (False, True):
             if forced:
@@ -446,6 +452,55 @@ class TestWorkerProcesses:
         assert outputs[0] == outputs[1]
         assert "excluded from the linearization" in outputs[0][0]
         assert all(line.startswith("note: ") for line in outputs[0][0].splitlines())
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_a_refused_fork_runs_the_blocks_here_with_one_warning(self, monkeypatch, nth):
+        serial, serial_warnings = self._compare()
+        force_workers(monkeypatch)
+        refuse_fork(monkeypatch, nth)
+        fallback, fallback_warnings = self._compare()
+        self._assert_same_report(fallback, serial)
+        refused, *rest = fallback_warnings
+        assert refused[1] is RuntimeWarning and "could not fork a worker process" in refused[0]
+        assert "Resource temporarily unavailable" in refused[0]
+        assert rest == serial_warnings
+        no_child_process_remains()
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_a_refused_fork_changes_no_output_and_adds_one_note(self, tmp_path, monkeypatch, capsys, nth):
+        argv = self._simulate_argv(tmp_path)
+        outputs = []
+        for refused in (False, True):
+            if refused:
+                force_workers(monkeypatch)
+                refuse_fork(monkeypatch, nth)
+            out = tmp_path / str(refused)
+            assert main([*argv, "--out", str(out)]) == 0
+            files = {name: (out / name).read_bytes() for name in ("report.json", "losses.csv")}
+            outputs.append((capsys.readouterr().err.splitlines(), files))
+        (serial_err, serial_files), (refused_err, refused_files) = outputs
+        assert refused_files == serial_files
+        note, *rest = refused_err
+        assert note.startswith("note: could not fork a worker process") and rest == serial_err
+        assert not any("could not fork" in line for line in serial_err)
+        no_child_process_remains()
+
+    def test_an_oserror_in_a_block_is_raised_not_taken_for_a_refused_fork(self, monkeypatch):
+        parent = os.getpid()
+
+        def broken(estimate, truth):
+            assert os.getpid() != parent, "a block ran in the parent process"
+            raise FileNotFoundError("a loss failed in a worker")
+
+        force_workers(monkeypatch)
+        monkeypatch.setattr(simulate, "loss_r_median", broken)
+        pop = synth_population(small_cfg(n_units=50))
+        plans = [DesignPlan(name="SRSWOR", kind="srswor", n=10)]
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(FileNotFoundError):
+            warnings.simplefilter("always")
+            monte_carlo_compare(pop.study, plans, replicates=12, seed=8)
+        assert not caught
+        no_child_process_remains()
 
     @pytest.mark.parametrize("failure", ["raises", "dies"])
     def test_no_worker_outlives_a_failed_block(self, monkeypatch, failure):
