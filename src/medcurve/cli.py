@@ -45,7 +45,6 @@ from .errors import (
     ParseError,
 )
 from .estimators import ht_median, weighted_median
-from .forking import worker_died
 from .simulate import (
     SUITE_NAMES,
     SynthConfig,
@@ -70,7 +69,7 @@ _MAX_REPS = 10**6
 _EXIT_CODES = (
     ((ParseError, GridMismatchError, OSError, ValueError), EXIT_INPUT),
     ((DesignError, EstimationError), EXIT_DESIGN),
-    # remaining library failures are solver problems (unconverged fit, singular G)
+    # other library failures: solver problems (unconverged fit, singular G), a died worker
     (MedcurveError, EXIT_SOLVER),
 )
 
@@ -330,11 +329,6 @@ def main(argv=None) -> int:
             code, error = args.func(args), None
         except (OSError, ValueError, MedcurveError) as exc:
             code, error = next(c for types, c in _EXIT_CODES if isinstance(exc, types)), exc
-        except Exception as exc:
-            # killed (say, for memory) or crashed in native code
-            if not worker_died(exc):
-                raise
-            code, error = EXIT_SOLVER, f"a worker process died: {exc}"
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"note: {message}", file=sys.stderr)
     if error is not None:

@@ -10,12 +10,11 @@ otherwise a uniform grid on [0, 1] is assumed. A value cell holds anything
 plain file (header on line 1, D commas per row) is parsed by
 ``np.loadtxt``. A small body, or any body off Linux or on one usable CPU,
 is parsed in process by one call whose matrix is kept uncopied. A larger
-body is cut after line ends into byte spans, one per usable CPU, which
-forked workers parse (this process, if the OS refuses a fork), each
-writing its rows into one shared mapping that becomes the read-only
-matrix; only the labels come back. In any doubt the file is parsed line
-by line with ``float()``, which also names the bad line. The result never depends on
-the path taken.
+body is cut after line ends into one byte span per usable CPU, each parsed
+by its own forked worker (by this process, if the OS refuses a fork) into
+one shared mapping that becomes the read-only matrix; only the labels come
+back. In any doubt the file is parsed line by line with ``float()``, which
+also names the bad line. The result never depends on the path taken.
 Floats are written with 12 significant digits, which round-trips the
 values used here well below every tolerance in the test suite.
 """
@@ -82,13 +81,10 @@ def _plain(line: str) -> bool:
 
 
 # A plain file's body is split among forked workers only when each gets at
-# least this many bytes. On a 2-vCPU Xeon (two runs of 15 alternating reads
-# of 336-point curves, multiprocessing already imported), two workers took
-# 51 and 55 ms against one in-process read's 44 and 64 at 4.6 MiB (faster
-# in 6 and 13 of 15), 85 and 98 against 93 and 115 at 9.1 MiB (12 and 12)
-# and 139 and 109 against 197 and 138 at 13.7 MiB (15 and 13): the line
-# count, two forks and the pool's shutdown cost about 25 ms. A process's
-# first forking read also imports multiprocessing, about 30 ms.
+# least this many bytes. On a 2-vCPU Xeon (four runs of 15 alternating reads
+# of 336-point curves), two workers lost to one in-process read at 2.3 MiB
+# (faster in 1, 3, 3 and 7 of 15) and won at 4.6 MiB (14, 14, 7 and 12); at
+# 1.1 MiB the line count, two forks and their reaping cost 4-6 ms.
 _MIN_BYTES_PER_WORKER = 4 * 2**20
 
 

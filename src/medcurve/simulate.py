@@ -18,9 +18,9 @@ integrated absolute loss against the full-population median; designs with
 closed-form variance estimators also get a per-replicate loss between the
 estimated and asymptotic variance functions. Seeds derive from the master
 seed by design index then replicate index, so reports are reproducible
-and independent of execution order: large runs split the replicates
-among forked worker processes, or run them all here when the OS refuses
-a fork, without changing a byte.
+and independent of execution order: a large run gives each forked worker
+process a fixed share of every design's replicates, or runs them all here
+when the OS refuses a fork, without changing a byte.
 """
 
 from __future__ import annotations
@@ -383,11 +383,10 @@ def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> _Block:
 
 
 # A worker process is forked only when it gets at least this many replicates.
-# On a 2-vCPU Xeon, starting and stopping a two-worker fork pool took 15 ms
-# (median of 20; 12-17 ms), and a replicate of the default study (N = 2000,
-# n = 200, D = 48) 1.1-1.4 ms on average over 2,400, so at 64 per worker two
-# workers save 70-90 ms for their 15. Blocks hold at most this many
-# replicates, so a worker left with the last block waits little.
+# On a 2-vCPU Xeon, forking and reaping two workers for two empty jobs took
+# 3-5 ms (medians of 20). On SRSWOR and PPS replicates of the default study
+# (N = 2000, n = 200, D = 48), two workers broke even at 16 replicates each;
+# at 32 they were faster in 7 and 9 of 10 calls, and at 64, kept, in 10 and 8.
 _MIN_REPS_PER_WORKER = 64
 
 
@@ -409,12 +408,12 @@ def monte_carlo_compare(
     design raises before its replicates run. A replicate's variance is
     median_variance of its fit.
 
-    Each plan's replicates run in contiguous blocks. On Linux, once the run
-    gives every usable CPU _MIN_REPS_PER_WORKER replicates or more, the
-    blocks run in forked worker processes, one per usable CPU; otherwise,
-    or with one RuntimeWarning when the OS refuses a fork, in this
-    process (forking.forked_map). The report is the same either way, and
-    the replicates' warnings are raised again here in replicate order.
+    On Linux, once the run gives every usable CPU _MIN_REPS_PER_WORKER
+    replicates or more, one forked worker process per usable CPU runs an
+    equal contiguous share of each plan's replicates; otherwise, or with one
+    RuntimeWarning when the OS refuses a fork, this process runs them all
+    (forking.forked_map). The report is the same either way, and the
+    replicates' warnings are raised again here in replicate order.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -440,18 +439,14 @@ def monte_carlo_compare(
         study, tuple(designs), tuple(var_truths), tuple(child_seeds(seed, len(plans))), truth, cfg
     )
 
-    # each plan's replicates in per_plan contiguous blocks of near-equal size
-    per_plan = -(-replicates // _MIN_REPS_PER_WORKER)
-    blocks = [
-        (d, replicates * b // per_plan, replicates * (b + 1) // per_plan)
-        for d in range(len(plans))
-        for b in range(per_plan)
-    ]
+    # one block per plan and worker; forked_map gives worker b the b-th block of every plan
+    workers = worker_count(len(plans) * replicates, _MIN_REPS_PER_WORKER)
+    cuts = [replicates * b // workers for b in range(workers + 1)]
+    blocks = [(d, lo, hi) for d in range(len(plans)) for lo, hi in zip(cuts, cuts[1:])]
     losses = [np.full(replicates, np.nan) for _ in plans]
     var_losses = [np.full(replicates, np.nan) for _ in plans]
     est_fail, var_fail = [0] * len(plans), [0] * len(plans)
     registry: dict = {}  # shows a repeated warning once per call under the default filter
-    workers = worker_count(len(plans) * replicates, _MIN_REPS_PER_WORKER)
     for (d, lo, hi), block in zip(blocks, forked_map(_run_block, job, blocks, workers)):
         losses[d][lo:hi] = block.losses
         var_losses[d][lo:hi] = block.variance_losses

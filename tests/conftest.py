@@ -1,8 +1,8 @@
 import errno
-import multiprocessing
+import glob
 import os
+import signal
 import sys
-from multiprocessing import popen_fork
 
 import pytest
 
@@ -13,19 +13,37 @@ def no_child_process_remains():
 
 
 def refuse_fork(monkeypatch, nth: int) -> None:
-    """Refuse multiprocessing's nth fork, and every nth after it, as a full process table would.
+    """Refuse the nth os.fork, and every nth after it, as a full process table would.
 
-    A pool of two workers, nth 1 or 2, then sees its nth fork refused.
+    forked_map with two workers, nth 1 or 2, then sees its nth fork refused.
     """
-    launch, forks = popen_fork.Popen._launch, []
+    fork, forks = os.fork, []
 
-    def launch_or_refuse(self, process_obj):
+    def fork_or_refuse():
         forks.append(None)
         if len(forks) % nth == 0:
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return launch(self, process_obj)
+        return fork()
 
-    monkeypatch.setattr(popen_fork.Popen, "_launch", launch_or_refuse)
+    monkeypatch.setattr(os, "fork", fork_or_refuse)
+
+
+def child_pids() -> list:
+    """This process's children, by the parent pid in each /proc/<pid>/stat.
+
+    /proc/self/task/*/children would list them, but only kernels built with
+    CONFIG_PROC_CHILDREN have that file.
+    """
+    pids = []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:  # the process has gone
+            continue
+        if int(fields[1]) == os.getpid():
+            pids.append(int(stat.split("/")[2]))
+    return pids
 
 
 @pytest.fixture(autouse=True)
@@ -38,7 +56,7 @@ def no_child_outlives_a_test():
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return
-    for child in multiprocessing.active_children():
-        child.kill()
-        child.join()
+    for pid in child_pids():
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
     pytest.fail("a child process outlived the test")

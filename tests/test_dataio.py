@@ -5,7 +5,6 @@ import json
 import os
 import sys
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from medcurve.dataio import (
     write_sample,
     write_variance,
 )
-from medcurve.errors import DesignError
+from medcurve.errors import DesignError, MedcurveError
 from medcurve.forking import worker_count
 
 from conftest import no_child_process_remains, refuse_fork
@@ -438,7 +437,7 @@ def test_a_reader_worker_that_dies_fails_the_read_and_leaves_no_child(tmp_path, 
 
     monkeypatch.setattr(dataio, "_rows", dies_in_a_worker)
     force_split(monkeypatch)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(MedcurveError, match="a worker process died"):
         read_curves(path)
     no_child_process_remains()
     assert main(["median", "--input", str(path), "--out", str(tmp_path / "out")]) == 3

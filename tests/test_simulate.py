@@ -387,7 +387,7 @@ def awkward_study():
 
 
 def force_workers(monkeypatch):
-    """Fork two workers for any run of 10 replicates or more, in blocks of at most 5."""
+    """Fork two workers for any run of 10 replicates or more, each with half of every plan's."""
     monkeypatch.setattr(simulate, "_MIN_REPS_PER_WORKER", 5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert worker_count(10, simulate._MIN_REPS_PER_WORKER) == 2
@@ -505,8 +505,6 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("failure", ["raises", "dies"])
     def test_no_worker_outlives_a_failed_block(self, monkeypatch, failure):
         # a worker that dies fails the run instead of leaving it waiting for its block
-        from concurrent.futures.process import BrokenProcessPool
-
         def broken(estimate, truth):
             if failure == "dies":
                 os._exit(9)
@@ -516,8 +514,8 @@ class TestWorkerProcesses:
         monkeypatch.setattr(simulate, "loss_r_median", broken)
         pop = synth_population(small_cfg(n_units=50))
         plans = [DesignPlan(name="SRSWOR", kind="srswor", n=10)]
-        expected = BrokenProcessPool if failure == "dies" else RuntimeError
-        with pytest.raises(expected):
+        expected, match = (MedcurveError, "a worker process died") if failure == "dies" else (RuntimeError, None)
+        with pytest.raises(expected, match=match):
             monte_carlo_compare(pop.study, plans, replicates=12, seed=8)
         no_child_process_remains()
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medcurve import Curve, CurvePopulation, TimeGrid, linearized_variables
+from medcurve.curves import lower_median
 from medcurve.solver import (
     MedianFit,
     SolverConfig,
@@ -425,3 +426,86 @@ def test_newton_and_weiszfeld_agree_within_the_tolerance(seed, n_points, offset,
         rounding = 2 * n_units * np.finfo(float).eps * w.sum()
         bound = (fit.residual_norm + gap + rounding) / lam
     assert float(grid.norms(fit.median.values - y)) <= bound
+
+
+@st.composite
+def median_problems(draw):
+    """Gamma curves on an uneven grid with random weights; in some, curve 0 outweighs the rest."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_units, n_points = draw(st.integers(3, 30)), draw(st.integers(2, 6))
+    grid = TimeGrid.from_points(np.sort(rng.uniform(0.0, 2.0, size=n_points)))
+    values = rng.standard_gamma(2.0, size=(n_units, n_points))
+    w = rng.uniform(0.5, 3.0, size=n_units)
+    if draw(st.booleans()):
+        w[0] = 1.5 * w[1:].sum()
+    return CurvePopulation(values, grid), w
+
+
+PROPERTY = SolverConfig(tol=1e-10)
+
+
+def assert_same_median(pop, w, a, b):
+    """Two converged fits of the objective of (pop, w) agree as closely as their gaps allow."""
+    assert a.converged and b.converged
+    assert a.anchored == b.anchored
+    distance = float(pop.grid.norms(a.median.values - b.median.values))
+    if a.anchored:
+        # on one data curve, each within its anchor radius (1e-12 of the spread)
+        assert np.array_equal(a.curves.values[a.anchor_index], b.curves.values[b.anchor_index])
+        bound = 1e-10 * max(float(pop.grid.norms(pop.values - a.median.values).max()), 1.0)
+    else:
+        # strong convexity, as in the Newton/Weiszfeld agreement test
+        lam = linearized_variables(pop, a.median, weights=w).gamma.min_eigenvalue()
+        rounding = 2 * len(w) * np.finfo(float).eps * w.sum()
+        bound = (a.residual_norm + b.residual_norm + rounding) / lam
+    assert distance <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=median_problems(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_curves_with_their_weights_keeps_the_median(problem, seed):
+    pop, w = problem
+    order = np.random.default_rng(seed).permutation(len(w))
+    fit = l1_median(pop, weights=w, cfg=PROPERTY)
+    assume(not fit.maybe_non_unique)
+    permuted = l1_median(CurvePopulation(pop.values[order], pop.grid), weights=w[order], cfg=PROPERTY)
+    assert_same_median(pop, w, fit, permuted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=median_problems(), k=st.integers(0, 29))
+def test_a_duplicated_curve_counts_as_that_curve_at_double_weight(problem, k):
+    pop, w = problem
+    k %= len(w)
+    doubled = w.copy()
+    doubled[k] *= 2.0
+    fit = l1_median(pop, weights=doubled, cfg=PROPERTY)
+    assume(not fit.maybe_non_unique)
+    twice = CurvePopulation(np.vstack([pop.values, pop.values[k]]), pop.grid)
+    duplicated = l1_median(twice, weights=np.append(w, w[k]), cfg=PROPERTY)
+    assert_same_median(pop, doubled, fit, duplicated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=median_problems(),
+    tol=st.sampled_from([1e-4, 1e-8, 1e-12]),
+    max_iter=st.sampled_from([1, 3, 500]),
+)
+def test_every_converged_fit_meets_its_certificate(problem, tol, max_iter):
+    pop, w = problem
+    cfg = SolverConfig(tol=tol, max_iter=max_iter)
+    fit = l1_median(pop, weights=w, cfg=cfg)
+    assert fit.converged == (fit.residual_norm <= cfg.tol * fit.weights.sum())
+    if fit.converged:
+        # the gap again, from the fit's own curves and weights and the solver's anchor rule
+        values, grid = fit.curves.values, fit.curves.grid
+        radius = 1e-12 * max(float(grid.norms(values - lower_median(values)).max()), 1.0)
+        diffs = values - fit.median.values
+        r = grid.norms(diffs)
+        on = r <= radius
+        assert fit.anchored == bool(on.any())
+        if not on.all():
+            residual = grid.norms((fit.weights[~on] / r[~on]) @ diffs[~on])
+            rounding = 2 * len(w) * np.finfo(float).eps * w.sum()
+            assert residual - fit.weights[on].sum() <= cfg.tol * w.sum() + rounding
