@@ -276,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, input_nargs=None):
-        if input_nargs:
-            p.add_argument("--input", required=True, nargs=input_nargs, help="curve CSV input")
-        else:
-            p.add_argument("--input", required=True, help="curve CSV input")
+        p.add_argument("--input", required=True, nargs=input_nargs, help="curve CSV input")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")

@@ -7,8 +7,8 @@ Curve CSV layout: a header row ``id,t_1,...,t_D``, then one row per unit.
 Numeric header cells are the grid points (finite, strictly increasing);
 otherwise a uniform grid on [0, 1] is assumed. A value cell holds anything
 ``float()`` accepts (spaces, ``1_000``, non-ASCII digits) if finite. A
-plain file (header on line 1, D commas per row) is parsed by
-``np.loadtxt``. A small body, or any body off Linux or on one usable CPU,
+plain file (header on line 1, D commas per row, blank lines only at the
+end) is parsed by ``np.loadtxt``. A small body, or any body off Linux or on one usable CPU,
 is parsed in process by one call whose matrix is kept uncopied. A larger
 body is cut after line ends into one byte span per usable CPU, each parsed
 by its own forked worker (by this process, if the OS refuses a fork) into
@@ -93,10 +93,11 @@ def _read_plain(path: str) -> CurvePopulation | None:
 
     A small body is parsed by one call whose matrix is kept uncopied. A
     large one is cut after line ends into one span per usable CPU, each
-    parsed by a forked worker into one shared matrix. None when in doubt
-    (a line not _plain or blank or not D commas long, a cell numpy
-    rejects, a non-finite value, a repeated id); _read_per_line then
-    decides.
+    parsed by a forked worker into one shared matrix. The body ends at the
+    last byte of its last 64 KiB that is not a space, tab or line end, as
+    _read_per_line skips blank lines. None when in doubt (a line not _plain
+    or blank or not D commas long, a cell numpy rejects, a non-finite value,
+    a repeated id); _read_per_line then decides.
     """
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
@@ -106,12 +107,13 @@ def _read_plain(path: str) -> CurvePopulation | None:
             return None
         grid = _grid_from_header(header, path, 1)
         start = len(header.encode("utf-8"))
-        workers = worker_count(size - start, _MIN_BYTES_PER_WORKER)
-        spans = _spans(raw, start, size, workers) if workers > 1 else []
+        stop = _end(raw, start, size)
+        workers = worker_count(stop - start, _MIN_BYTES_PER_WORKER)
+        spans = _spans(raw, start, stop, workers) if workers > 1 else []
     if len(spans) > 1:
         rows = _rows_in_spans(path, d, spans)
     else:
-        rows = _rows(path, d, start, size)
+        rows = _rows(path, d, start, stop)
     if rows is None:
         return None
     labels, values = rows
@@ -119,6 +121,13 @@ def _read_plain(path: str) -> CurvePopulation | None:
     if len(np.unique(ids)) != len(labels):
         return None
     return CurvePopulation._trusted(values, grid, ids)
+
+
+def _end(raw, lo: int, hi: int) -> int:
+    """Where bytes lo..hi-1 of raw end without the spaces, tabs and line ends of their last 64 KiB."""
+    at = max(lo, hi - 2**16)
+    raw.seek(at)
+    return at + len(raw.read(hi - at).rstrip(b" \t\r\n"))
 
 
 class _Span(io.RawIOBase):

@@ -34,7 +34,8 @@ def forked_map(fn, state, jobs: list, workers: int) -> list:
     Worker w runs jobs[w::workers]. state reaches it through the fork,
     unpickled, so it may hold a shared mapping. Below two workers, or when
     the OS refuses a fork (one RuntimeWarning), the jobs run here. A job's
-    error is raised here as it is, a worker that dies raises MedcurveError,
+    error is raised here as it is (a RuntimeError if it cannot be pickled
+    there or unpickled here), a worker that dies raises MedcurveError,
     and no worker outlives the call.
     """
     if workers < 2:
@@ -73,7 +74,10 @@ def forked_map(fn, state, jobs: list, workers: int) -> list:
                 if status or not reply:  # a worker exits 0 only once its whole reply is sent
                     how = f"exit code {os.waitstatus_to_exitcode(status)}"
                     raise MedcurveError(f"a worker process died before sending its results ({how})")
-                sent, value = pickle.loads(reply)
+                try:
+                    sent, value = pickle.loads(reply)
+                except Exception as exc:
+                    raise RuntimeError(f"could not read a worker's reply: {exc!r}") from exc
                 if not sent:
                     raise value
                 results[share::workers] = value

@@ -292,7 +292,11 @@ def standard_design_suite(
 
 @dataclass(frozen=True, eq=False)
 class DesignOutcome:
-    """Per-design Monte Carlo record; NaN marks a failed replicate."""
+    """Per-design Monte Carlo record; a NaN loss is the one record of a failed replicate.
+
+    The counts are read off it: estimate_failures NaN losses, and variance_failures
+    the further NaN variance losses (0 without a closed-form variance truth).
+    """
 
     name: str
     losses: np.ndarray
@@ -344,23 +348,14 @@ class _Replicates:
     cfg: SolverConfig
 
 
-@dataclass(frozen=True, eq=False)
-class _Block:
-    """The outcome of replicates lo..hi-1 of one plan, and the warnings they raised."""
+def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> tuple:
+    """Replicates lo..hi-1 of plan d, replicate r drawn from the master seed's child (d, r).
 
-    losses: np.ndarray
-    variance_losses: np.ndarray
-    estimate_failures: int
-    variance_failures: int
-    warnings: list
-
-
-def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> _Block:
-    """Replicates lo..hi-1 of plan d, replicate r drawn from the master seed's child (d, r)."""
+    Their losses and variance losses, NaN where a replicate failed, and the warnings they raised.
+    """
     design, var_truth = job.designs[d], job.var_truths[d]
     losses = np.full(hi - lo, np.nan)
     var_losses = np.full(hi - lo, np.nan)
-    est_fail = var_fail = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for i, rep_seed in enumerate(child_seeds(job.plan_seeds[d], range(lo, hi))):
@@ -368,9 +363,8 @@ def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> _Block:
                 draw = design.draw(rep_seed)
                 fit = weighted_median(draw, job.study, design.weights(draw), job.cfg)
             except MedcurveError:
-                fit = None
-            if fit is None or not fit.converged:
-                est_fail += 1
+                continue
+            if not fit.converged:
                 continue
             losses[i] = loss_r_median(fit.median, job.truth)
             if var_truth is None:
@@ -378,8 +372,8 @@ def _run_block(job: _Replicates, d: int, lo: int, hi: int) -> _Block:
             try:
                 var_losses[i] = loss_r_variance(median_variance(draw, fit), var_truth)
             except MedcurveError:
-                var_fail += 1
-    return _Block(losses, var_losses, est_fail, var_fail, caught)
+                pass
+    return losses, var_losses, caught
 
 
 # A worker process is forked only when it gets at least this many replicates.
@@ -402,11 +396,11 @@ def monte_carlo_compare(
     Per replicate r of plan d the draw seed is the master seed's child
     (d, r), so a replicate's result does not depend on how many replicates
     run, in what order or in which process; a SeedSequence seed is not
-    advanced, so a second call with it repeats the first. Replicate
-    failures (non-convergence, estimator errors) are recorded as NaN
-    losses and counted, never raised; a plan that describes no valid
-    design raises before its replicates run. A replicate's variance is
-    median_variance of its fit.
+    advanced, so a second call with it repeats the first. A replicate
+    failure (non-convergence, an estimator error) is recorded once, as a
+    NaN loss, and never raised; each DesignOutcome's counts are read off
+    the NaN losses. A plan that describes no valid design raises before
+    its replicates run. A replicate's variance is median_variance of its fit.
 
     On Linux, once the run gives every usable CPU _MIN_REPS_PER_WORKER
     replicates or more, one forked worker process per usable CPU runs an
@@ -445,23 +439,16 @@ def monte_carlo_compare(
     blocks = [(d, lo, hi) for d in range(len(plans)) for lo, hi in zip(cuts, cuts[1:])]
     losses = [np.full(replicates, np.nan) for _ in plans]
     var_losses = [np.full(replicates, np.nan) for _ in plans]
-    est_fail, var_fail = [0] * len(plans), [0] * len(plans)
     registry: dict = {}  # shows a repeated warning once per call under the default filter
     for (d, lo, hi), block in zip(blocks, forked_map(_run_block, job, blocks, workers)):
-        losses[d][lo:hi] = block.losses
-        var_losses[d][lo:hi] = block.variance_losses
-        est_fail[d] += block.estimate_failures
-        var_fail[d] += block.variance_failures
-        for w in block.warnings:
+        losses[d][lo:hi], var_losses[d][lo:hi], caught = block
+        for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
-    outcomes = tuple(
-        DesignOutcome(
-            name=plan.name,
-            losses=losses[d],
-            variance_losses=var_losses[d] if var_truths[d] is not None else None,
-            estimate_failures=est_fail[d],
-            variance_failures=var_fail[d],
-        )
-        for d, plan in enumerate(plans)
-    )
-    return MonteCarloReport(outcomes=outcomes, replicates=replicates, truth=truth)
+    outcomes = []
+    for d, plan in enumerate(plans):
+        failed = int(np.isnan(losses[d]).sum())
+        scored = var_truths[d] is not None
+        var_failed = int(np.isnan(var_losses[d]).sum()) - failed if scored else 0
+        var_loss = var_losses[d] if scored else None
+        outcomes.append(DesignOutcome(plan.name, losses[d], var_loss, failed, var_failed))
+    return MonteCarloReport(outcomes=tuple(outcomes), replicates=replicates, truth=truth)

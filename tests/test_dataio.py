@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -380,6 +381,27 @@ def test_split_read_needs_no_per_line_parse(tmp_path, monkeypatch, ending, last_
     no_child_process_remains()
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize(
+    "tail", ["{e}", "{e}{e}", "   ", "   {e}"], ids=["blank", "two-blank", "spaces", "spaces-ended"]
+)
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=linux_only)])
+def test_trailing_blank_lines_keep_a_file_plain(tmp_path, monkeypatch, ending, tail, split):
+    # one or two blank lines, or a last line of only spaces, after the last row's line end
+    path = tmp_path / "pop.csv"
+    text = ending.join(["id,0.5,1.5", *ROWS]) + ending + tail.format(e=ending)
+    path.write_bytes(text.encode())
+    want = read_per_line(path)
+    if split:
+        force_split(monkeypatch)
+    seen = record_spans(monkeypatch)
+    refuse_per_line(monkeypatch)
+    got = read_curves(path)
+    assert len(seen) == split and all(len(spans) == 3 for spans in seen)
+    assert_same_decision(got, want)
+    no_child_process_remains()
+
+
 @linux_only
 @pytest.mark.parametrize("after", range(1, len(ROWS)))
 def test_a_cut_next_to_a_blank_line(tmp_path, monkeypatch, after):
@@ -472,6 +494,47 @@ def test_a_refused_fork_reads_the_spans_here_with_one_warning(tmp_path, monkeypa
         assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
     assert len(seen) == 2
     no_child_process_remains()
+
+
+# In a fresh process: a CSV read in two spans by forked workers into the
+# shared mapping, then its median; prints the matrix's bytes, the spans and
+# how far VmHWM, which counts the mapping's pages once this process touches
+# them, rose over the two.
+SPLIT_READ_AND_FIT = """
+import json, os, sys
+from medcurve import dataio
+from medcurve.solver import l1_median
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+dataio._MIN_BYTES_PER_WORKER = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+seen, split = [], dataio._rows_in_spans
+dataio._rows_in_spans = lambda path, d, spans: seen.append(len(spans)) or split(path, d, spans)
+before = vm_hwm()
+pop = dataio.read_curves(sys.argv[1])
+assert l1_median(pop).converged
+print(json.dumps([pop.values.nbytes, seen, vm_hwm() - before]))
+"""
+
+
+@linux_only
+def test_a_split_read_and_its_fit_peak_near_the_matrix(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "pop.csv"
+    write_curves(path, CurvePopulation(rng.gamma(2.0, size=(8000, 336)), TimeGrid.uniform(336)))
+    package = os.path.dirname(os.path.dirname(dataio.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", SPLIT_READ_AND_FIT, str(path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    matrix, seen, rise = json.loads(run.stdout)
+    assert matrix == 8000 * 336 * 8 and seen == [2]
+    # the mapping, the solver's two N x D work arrays and its start's temporaries
+    assert rise <= 3.75 * matrix, f"VmHWM rose by {rise / matrix:.2f}x the matrix"
 
 
 def test_small_bodies_and_one_usable_cpu_fork_nothing(tmp_path, monkeypatch):

@@ -79,7 +79,16 @@ def worker_fault(kind, i):
         os.kill(os.getpid(), signal.SIGKILL)
     if kind == "raises":
         raise ValueError(threading.Lock())
+    if kind == "unreadable":
+        raise TwoArgs(i, "b")
     return threading.Lock()
+
+
+class TwoArgs(Exception):
+    """Pickles with args (a,), so unpickling calls TwoArgs(a) and fails."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +99,7 @@ def worker_fault(kind, i):
         ("cut", MedcurveError, r"a worker process died .*\(exit code -9\)"),
         ("raises", RuntimeError, r"could not send its error ValueError\(<unlocked _thread.lock"),
         ("returns", RuntimeError, r"could not send its results: cannot pickle '_thread.lock'"),
+        ("unreadable", RuntimeError, r"could not read a worker's reply: TypeError\(.*missing 1"),
     ],
 )
 def test_every_worker_fault_is_one_typed_error(kind, error, match):

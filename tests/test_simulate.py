@@ -416,6 +416,14 @@ class TestWorkerProcesses:
                 b.estimate_failures,
                 b.variance_failures,
             )
+            for o in (a, b):
+                # the failure counts are read off the NaN losses, the one record of a failure
+                assert o.estimate_failures == np.isnan(o.losses).sum()
+                if o.variance_losses is None:
+                    assert o.variance_failures == 0
+                else:
+                    failed = np.isnan(o.variance_losses).sum() - o.estimate_failures
+                    assert o.variance_failures == failed
 
     @staticmethod
     def _simulate_argv(tmp_path):
