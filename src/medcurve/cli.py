@@ -136,12 +136,10 @@ def cmd_median(args) -> int:
     write_curve(_out_path(args, "median.csv"), fit.median)
     _write_json(_out_path(args, "diagnostics.json"), _diagnostics(fit, cfg))
     if not fit.converged:
-        print(
+        raise MedcurveError(
             f"solver stopped after {fit.iterations} iterations without "
-            f"meeting tol={cfg.tol:g}; diagnostics written",
-            file=sys.stderr,
+            f"meeting tol={cfg.tol:g}; diagnostics written"
         )
-        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -164,12 +162,9 @@ def cmd_estimate(args) -> int:
 
     write_sample(_out_path(args, "sample.csv"), fit.curves.ids, draw.pi, fit.weights)
     if not fit.converged:
-        print(
-            f"solver stopped after {fit.iterations} iterations without "
-            f"meeting tol={cfg.tol:g}",
-            file=sys.stderr,
+        raise MedcurveError(
+            f"solver stopped after {fit.iterations} iterations without meeting tol={cfg.tol:g}"
         )
-        return EXIT_SOLVER
     write_curve(_out_path(args, "median.csv"), fit.median)
     var = median_variance(draw, fit)
     write_variance(_out_path(args, "variance.csv"), pop.grid, var.values)

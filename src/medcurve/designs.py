@@ -11,8 +11,11 @@ never advanced: the same sequence gives the same draw every time.
 A design is one frozen object, checked when built: Srswor (poststratified
 when given groups), Systematic, Stratified or PpsWr. It owns its draw, its
 estimation weights, its closed-form population variance where one exists
-(closed_form) and its variance estimator. DESIGNS maps the five design
-kinds to these classes; dataio alone reads design files into them.
+(closed_form) and its variance estimator. Every closed form rests on one
+within-group variance S^2 (_group_s2): plain SRSWOR is the one-group case
+of the poststratified forms, and Systematic's estimator is SRSWOR's.
+DESIGNS maps the five design kinds to these classes; dataio alone reads
+design files into them.
 """
 
 from __future__ import annotations
@@ -189,41 +192,25 @@ def _frozen(obj, name: str, values: np.ndarray) -> None:
     object.__setattr__(obj, name, values)
 
 
-def _s2(values: np.ndarray) -> np.ndarray:
-    """Column-wise variance with the N-1 denominator; zero for a single row."""
-    if values.shape[0] < 2:
-        return np.zeros(values.shape[1])
-    return np.var(values, axis=0, ddof=1)
-
-
-def _srswor_variance(n_population: int, n: int, values: np.ndarray) -> np.ndarray:
-    return n_population**2 * (1.0 / n - 1.0 / n_population) * _s2(values)
-
-
 def _group_s2(values: np.ndarray, labels: np.ndarray, n_groups: int):
-    """Rows per group, and each group's _s2 of its rows (zero below two rows).
+    """Rows per group, and each group's column-wise S^2 (N-1 denominator; 0 below two rows).
 
-    Every group at once from one-hot products: group means, then the sums
-    of squared deviations from them.
+    Every group at once from one-hot products: the group means, then the
+    sums of squared deviations from them, formed in one N x D buffer.
     """
     onehot = (labels[:, None] == np.arange(n_groups)).astype(float)
     counts = np.bincount(labels, minlength=n_groups)
     means = (onehot.T @ values) / np.maximum(counts, 1)[:, None]
-    centered = values - means[labels]
+    sq = means[labels]
+    np.subtract(values, sq, out=sq)
+    np.square(sq, out=sq)
     # a lone row is its own mean, so its group's sum of squares is exactly 0
-    return counts, (onehot.T @ (centered * centered)) / np.maximum(counts - 1, 1)[:, None]
+    return counts, (onehot.T @ sq) / np.maximum(counts - 1, 1)[:, None]
 
 
 def _ht_weights(self, draw: SampleDraw) -> np.ndarray:
     """Horvitz-Thompson weights 1/pi_k."""
     return draw.weights
-
-
-def _srswor_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
-    """The SRSWOR closed form with sample variances."""
-    if self.n < 2:
-        raise EstimationError("variance estimation needs at least two sampled units")
-    return _srswor_variance(self.N, self.n, values)
 
 
 def calibrated_weights(draw: SampleDraw, groups: StrataSpec) -> np.ndarray:
@@ -252,7 +239,8 @@ class Srswor:
 
     groups, a StrataSpec over the frame, selects the poststratified
     estimator: weights calibrated to the known group sizes, and the
-    poststratified variance forms. The draw is the same either way.
+    poststratified variance forms, of which plain SRSWOR's are the
+    one-group case. The draw is the same either way.
     """
 
     N: int
@@ -278,29 +266,30 @@ class Srswor:
         """1/pi_k, calibrated to the group sizes when the design has groups."""
         return draw.weights if self.groups is None else calibrated_weights(draw, self.groups)
 
-    def _grouped(self, values: np.ndarray, labels: np.ndarray, sampled: bool) -> np.ndarray:
-        """N^2 (1/n - 1/N) sum_g ((N_g - 1)/(N - 1)) S^2_g over the rows given."""
-        sizes = self.groups.sizes
-        counts, s2 = _group_s2(values, labels, sizes.size)
+    def _variance(self, values: np.ndarray, units: np.ndarray | None) -> np.ndarray:
+        """N^2 (1/n - 1/N) sum_g ((N_g - 1)/(N - 1)) S^2_g over the frame or the drawn units."""
+        if self.groups is None:
+            share, labels = np.ones(1), np.zeros(values.shape[0], dtype=np.int64)
+        else:
+            share = (self.groups.sizes - 1) / (self.N - 1)
+            labels = self.groups.labels if units is None else self.groups.labels[units]
+        counts, s2 = _group_s2(values, labels, share.size)
         thin = np.flatnonzero(counts < 2)
-        if sampled and thin.size:
+        if units is not None and thin.size:
             raise EstimationError(
-                f"group {int(thin[0])} has fewer than two sampled units; aggregate "
+                "variance estimation needs at least two sampled units"
+                if self.groups is None
+                else f"group {int(thin[0])} has fewer than two sampled units; aggregate "
                 "small groups before estimating the variance"
             )
-        acc = ((sizes - 1) / (self.N - 1)) @ s2
-        return self.N**2 * (1.0 / self.n - 1.0 / self.N) * acc
+        return self.N**2 * (1.0 / self.n - 1.0 / self.N) * (share @ s2)
 
     def population_variance(self, values: np.ndarray) -> np.ndarray:
-        if self.groups is None:
-            return _srswor_variance(self.N, self.n, values)
-        return self._grouped(values, self.groups.labels, sampled=False)
+        return self._variance(values, None)
 
     def variance_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
         """The closed form with sample variances; with groups, the plug-in of the poststratified form."""
-        if self.groups is None:
-            return _srswor_estimate(self, draw, values)
-        return self._grouped(values, self.groups.labels[draw.units], sampled=True)
+        return self._variance(values, draw.units)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +298,7 @@ class Systematic:
 
     The real-valued step N/n keeps every first-order inclusion
     probability exactly n/N even when N/n is not an integer. No unbiased
-    variance estimator exists, so the SRSWOR formula stands in, flagged.
+    variance estimator exists, so SRSWOR's estimator stands in, flagged.
     """
 
     order_key: np.ndarray
@@ -345,7 +334,9 @@ class Systematic:
         return SampleDraw._trusted(units, np.full(n, n / n_population), self)
 
     weights = _ht_weights
-    variance_estimate = _srswor_estimate
+
+    def variance_estimate(self, draw: SampleDraw, values: np.ndarray) -> np.ndarray:
+        return Srswor(self.N, self.n).variance_estimate(draw, values)
 
 
 @dataclass(frozen=True, eq=False)

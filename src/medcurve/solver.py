@@ -94,8 +94,11 @@ class MedianFit:
     collinear, the only geometry where the minimizer can fail to be unique;
     it is computed from the fitted curves on first read, so fits whose
     flag nobody reads skip the check. curves and weights are what the fit
-    ran on (the weights as a read-only copy), and objective is
-    sum_k w_k ||Y_k - median||, the last entry of objective_trace.
+    was given (the weights as a read-only copy), and objective is
+    sum_k w_k ||Y_k - median||, the last entry of objective_trace. The
+    iteration runs on the weights scaled by a power of two, so a rescaled
+    problem has the same median; the gap and the objectives are reported
+    in the caller's units.
     """
 
     median: Curve
@@ -198,7 +201,14 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
     """Compute the weighted L1-median of a curve set (see curves)."""
     cfg = cfg or SolverConfig()
     values, grid = curves.values, curves.grid
-    w = _positive_weights(weights, values.shape[0])
+    weights = _positive_weights(weights, values.shape[0])
+    # iterate on the weights scaled by a power of two, the largest into
+    # [1, 2): exact for normal floats, nothing for unit weights, and no
+    # weight total or product with a distance overflows
+    shift = 1 - int(np.frexp(weights.max())[1])
+    w = np.ldexp(weights, shift) if shift else weights
+    if not w.min() > 0:
+        raise ValueError("weights span too wide a range: the smallest scales to zero")
     total_w = w.sum()
     y = _initial_point(values, grid, cfg.init)
     gap_tol = cfg.tol * total_w
@@ -284,6 +294,9 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
             y = t_point
 
     converged = gap <= gap_tol
+    # the gap and the objectives in the caller's units, where they may overflow
+    with np.errstate(over="ignore"):
+        gap, *trace = np.ldexp([gap, *trace], -shift).tolist()
     return MedianFit(
         median=Curve(y, grid),
         converged=converged,
@@ -291,7 +304,7 @@ def l1_median(curves, weights=None, cfg: SolverConfig | None = None) -> MedianFi
         residual_norm=gap,
         objective=trace[-1],
         curves=curves,
-        weights=_readonly(w),
+        weights=_readonly(weights),
         anchored=anchored and converged,
         anchor_index=anchor_index if (anchored and converged) else None,
         objective_trace=tuple(trace),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import StrataSpec, _check_sizes, child_seeds
+from .designs import StrataSpec, _check_sizes, _group_s2, child_seeds
 from .errors import DesignError
 
 __all__ = [
@@ -141,12 +141,7 @@ def optimal_allocation(strata: StrataSpec, z, n: int, rule: str = "OPTIM") -> Al
     if values.shape[0] != strata.n_units:
         raise DesignError("allocation variable must cover every unit")
 
-    score = np.zeros(strata.n_strata)
-    for h in range(strata.n_strata):
-        members = values[strata.labels == h]
-        if members.shape[0] >= 2:
-            s2_t = np.var(members, axis=0, ddof=1)
-            score[h] = sizes[h] * np.sqrt(grid.integrate(s2_t))
+    score = sizes * np.sqrt(_group_s2(values, strata.labels, strata.n_strata)[1] @ grid.weights)
     return _allocate(score, sizes, n, rule, fallback=not score.any())
 
 

@@ -5,10 +5,11 @@ term by term, the estimating equation (the score) whose root the solver
 finds, the weighted pointwise-median rule that lower_median selects
 without sorting, pairwise inclusion probabilities counted over every
 possible sample, the Horvitz-Thompson variance as an explicit double sum
-over pairs, k-means on the full difference broadcast and the ridge rule
-from eigenvalues alone. on_grid wraps plain values and a grid as a bare
-curve set (an object with only .values and .grid), and symmetrized reads
-back the scaled operator a linearization inverted.
+over pairs, k-means on the full difference broadcast, the ridge rule
+from eigenvalues alone and the Neyman scores from one np.var per stratum.
+on_grid wraps plain values and a grid as a bare curve set (an object with
+only .values and .grid), and symmetrized reads back the scaled operator a
+linearization inverted.
 """
 
 import warnings
@@ -20,6 +21,7 @@ import numpy as np
 from medcurve.curves import Curve
 from medcurve.designs import Srswor, Stratified
 from medcurve.errors import LinearizationError
+from medcurve.stratify import _allocate
 
 
 def on_grid(values, grid):
@@ -189,3 +191,19 @@ def eigenvalue_ridge_rule(sym, cond_limit=1e12, ridge_scale=1e-10):
     if np.linalg.eigvalsh(sym)[0] <= 0:
         raise LinearizationError("singular even after ridging", condition=condition)
     return True, condition, sym
+
+
+def loop_neyman_allocation(strata, z, n, rule="OPTIM"):
+    """optimal_allocation with its scores N_h sqrt(int S^2_h) from one np.var per stratum.
+
+    This was the library's own loop. Only the scores are under test, so
+    the capping and rounding are the library's _allocate.
+    """
+    values, grid, sizes = z.values, z.grid, strata.sizes
+    score = np.zeros(strata.n_strata)
+    for h in range(strata.n_strata):
+        members = values[strata.labels == h]
+        if members.shape[0] >= 2:
+            s2_t = np.var(members, axis=0, ddof=1)
+            score[h] = sizes[h] * np.sqrt(grid.integrate(s2_t))
+    return _allocate(score, sizes, n, rule, fallback=not score.any())

@@ -6,11 +6,12 @@ expectations. Exit codes: 0 ok, 2 input, 3 solver, 4 design.
 """
 
 import json
+import shutil
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from medcurve import (
@@ -848,3 +849,60 @@ def test_each_error_type_exits_with_its_code(monkeypatch, capsys, exc, code):
     monkeypatch.setattr(cli, "cmd_median", stub)
     assert main(["median", "--input", "unread.csv"]) == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+# five curves on three points, written with few digits so that a median
+# on one of them reads back exactly
+_FIVE = "id,0,1,2\na,1,2,3\nb,2,0,1\nc,0,1,0\nd,3,3,1\ne,1,0,2\n"
+_WEIGHTS = st.one_of(
+    # any positive float, subnormals included
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    # every binary scale
+    st.integers(-1074, 1023).map(lambda e: float(np.ldexp(1.0, e))),
+    st.sampled_from([1e308, 1e300, 1.0, 1e-300, sys.float_info.min, 5e-324]),
+)
+
+
+def _relative_gap_and_slack(pop, w, median):
+    """The optimality gap at median over the weight total, and how far %.12g rounding moves it.
+
+    The weights are first scaled by a power of two, exactly, so that no
+    total overflows; the relative gap does not change with their scale.
+    """
+    w = np.ldexp(w, 1 - np.frexp(w.max())[1])
+    diffs = pop.values - median
+    r = pop.grid.norms(diffs)
+    on = r <= 1e-12 * max(float(r.max()), 1.0)
+    off = ~on
+    gap = float(pop.grid.norms((w[off] / r[off]) @ diffs[off])) - w[on].sum() if off.any() else 0.0
+    # a value written to 12 digits is off by at most 5e-12 of itself; a
+    # move of delta turns each unit vector (Y_k - m) / r_k by at most
+    # 2 delta / (r_k - delta)
+    delta = float(pop.grid.norms(5e-12 * np.abs(median)))
+    slack = np.inf if np.any(r[off] <= 2 * delta) else (w[off] * 2 * delta / (r[off] - delta)).sum()
+    return max(gap, 0.0) / w.sum(), slack / w.sum()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(weights=[1e308, 1e308, 1.0, 1.0, 1.0])
+@example(weights=[1e300, 1e300, 1.0, 1.0, 1.0])
+@given(weights=st.lists(_WEIGHTS, min_size=5, max_size=5))
+def test_any_weight_file_ends_in_an_exit_code_and_a_converged_median_meets_tol(tmp_path, capsys, weights):
+    path = tmp_path / "five.csv"
+    path.write_text(_FIVE)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("".join(f"{w!r}\n" for w in weights))
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = main(["median", "--input", str(path), "--weights", str(wpath), "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert all(line.startswith(("error:", "note:")) for line in capsys.readouterr().err.splitlines())
+    if code == 2:
+        return
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["converged"] == (code == 0)
+    if diagnostics["converged"]:
+        median = np.loadtxt(out / "median.csv", delimiter=",", skiprows=1)[:, 1]
+        gap, slack = _relative_gap_and_slack(read_curves(path), np.array(weights), median)
+        assert gap <= diagnostics["tol"] + slack + 20 * np.finfo(float).eps

@@ -5,8 +5,12 @@ to keep the suite quick; the heavier 50k-draw audit lives in the
 acceptance tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medcurve import CurvePopulation, TimeGrid
 from medcurve.designs import (
@@ -16,6 +20,7 @@ from medcurve.designs import (
     StrataSpec,
     Stratified,
     Systematic,
+    _group_s2,
     child_seeds,
     draw_ppswr,
     draw_srswor,
@@ -321,3 +326,61 @@ def test_sample_draw_validation():
         SampleDraw(np.array([1, 2]), np.array([0.0, 0.5]), Srswor(4, 2))
     with pytest.raises(DesignError, match="seed"):
         draw_srswor(4, 2, seed=None)
+
+
+@st.composite
+def grouped_rows(draw):
+    """Rows with group labels: some groups empty, some of one row, some of many."""
+    n_groups = draw(st.integers(1, 6))
+    labels = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    values = offset + scale * rng.standard_normal((labels.size, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        # a constant column: every group's variance there is zero, up to the mean's rounding
+        values[:, 0] = offset + 0.1
+    return values, labels, n_groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_rows())
+def test_group_s2_is_each_groups_sample_variance(case):
+    values, labels, n_groups = case
+    counts, s2 = _group_s2(values, labels, n_groups)
+    eps = np.finfo(float).eps
+    for g in range(n_groups):
+        rows = values[labels == g]
+        n = rows.shape[0]
+        assert counts[g] == n
+        if n < 2:
+            assert np.all(s2[g] == 0.0)
+            continue
+        ref = np.var(rows, axis=0, ddof=1)
+        # both sum n rounded squares about a mean that is itself off by at
+        # most n eps max|x|, which adds n (n eps max|x|)^2 / (n - 1) to each
+        bound = 4 * (n + 2) * eps * ref + 4 * (n * eps * np.abs(rows).max(axis=0)) ** 2
+        assert np.all(np.abs(s2[g] - ref) <= bound)
+
+
+def _population_variance_peak(design, values):
+    tracemalloc.start()
+    try:
+        design.population_variance(values)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["poststratified", "stratified"])
+def test_population_variance_holds_one_buffer_the_size_of_the_matrix(kind):
+    n_units, n_points = 4000, 336
+    values = np.random.default_rng(2).standard_normal((n_units, n_points))
+    groups = StrataSpec(np.arange(n_units) % 4)
+    if kind == "poststratified":
+        design = Srswor(n_units, 400, groups)
+    else:
+        design = Stratified(groups, np.full(4, 100))
+    # the squared deviations take one N x D buffer; the one-hot matrix,
+    # the labels and the group means take about 1.5% of the matrix more
+    assert _population_variance_peak(design, values) <= 1.25 * values.nbytes

@@ -509,3 +509,47 @@ def test_every_converged_fit_meets_its_certificate(problem, tol, max_iter):
             residual = grid.norms((fit.weights[~on] / r[~on]) @ diffs[~on])
             rounding = 2 * len(w) * np.finfo(float).eps * w.sum()
             assert residual - fit.weights[on].sum() <= cfg.tol * w.sum() + rounding
+
+
+# five curves on three points, two of them outweighing the rest by far
+FIVE = [[1.0, 2.0, 3.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [3.0, 3.0, 1.0], [1.0, 0.0, 2.0]]
+
+
+@pytest.mark.parametrize("huge", [1e308, 1e300])
+def test_weights_that_only_rescale_the_problem_keep_the_answer(huge):
+    # unscaled, the weight total overflowed at 1e308 (converged at iteration
+    # 0 on an infinite tolerance), and the gap's square did at 1e300 (500
+    # iterations, never converged)
+    pop = pop_from_rows(FIVE)
+    weights = [huge, huge, 1.0, 1.0, 1.0]
+    fit = l1_median(pop, weights=weights)
+    same = l1_median(pop, weights=[1.0, 1.0, 1 / huge, 1 / huge, 1 / huge])
+    assert fit.converged and same.converged
+    assert fit.iterations == same.iterations >= 1
+    assert np.array_equal(fit.weights, weights)
+    # the two weight vectors have the same ratios up to one rounding
+    assert float(pop.grid.norms(fit.median.values - same.median.values)) <= 1e-12
+    assert np.isfinite(fit.residual_norm)
+
+
+def test_a_weight_the_scaling_takes_to_zero_is_refused():
+    with pytest.raises(ValueError, match="the smallest scales to zero"):
+        l1_median(pop_from_rows(FIVE), weights=[1e308, 5e-324, 1.0, 1.0, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=median_problems(), k=st.integers(-1000, 1000))
+def test_weights_times_a_power_of_two_give_a_bit_identical_fit(problem, k):
+    pop, w = problem
+    fit = l1_median(pop, weights=w, cfg=PROPERTY)
+    scaled = l1_median(pop, weights=np.ldexp(w, k), cfg=PROPERTY)
+    assert np.array_equal(scaled.median.values.view(np.int64), fit.median.values.view(np.int64))
+    assert (scaled.converged, scaled.iterations) == (fit.converged, fit.iterations)
+    assert (scaled.anchored, scaled.anchor_index) == (fit.anchored, fit.anchor_index)
+    assert np.array_equal(scaled.weights, np.ldexp(w, k))
+    # the reported gap and objectives scale with the weights, exactly
+    # where the scaled value is a normal float
+    ours = np.array([fit.residual_norm, *fit.objective_trace])
+    theirs = np.array([scaled.residual_norm, *scaled.objective_trace])
+    normal = np.abs(theirs) >= np.finfo(float).tiny
+    assert np.array_equal(np.ldexp(ours, k)[normal], theirs[normal])

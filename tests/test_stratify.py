@@ -23,7 +23,7 @@ from medcurve.stratify import (
     proportional_allocation,
     quartile_strata,
 )
-from oracles import broadcast_lloyd, on_grid
+from oracles import broadcast_lloyd, loop_neyman_allocation, on_grid
 
 
 def test_proportional_allocation_oracles():
@@ -293,3 +293,30 @@ def test_distinct_rows_counts_what_unique_counts(monkeypatch, block_values):
         distinct = np.unique(values, axis=0).shape[0]
         for limit in range(1, 7):
             assert _distinct_rows(values, limit) == min(distinct, limit)
+
+
+@st.composite
+def neyman_inputs(draw):
+    """Strata of one row up to many, some constant, on an uneven grid; offsets up to 1e6."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n_points = draw(st.integers(1, 6))
+    grid = TimeGrid.from_points(np.sort(rng.uniform(0.0, 2.0, size=n_points)))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    values = offset + draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((labels.size, n_points))
+    for h in draw(st.sets(st.integers(0, len(sizes) - 1))):
+        # an integer level: both forms find exactly zero variance there
+        values[labels == h] = float(h)
+    n = draw(st.integers(len(sizes), labels.size))
+    return StrataSpec(labels), on_grid(values, grid), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(neyman_inputs())
+def test_optimal_allocation_counts_are_the_per_stratum_loops(case):
+    strata, z, n = case
+    got = optimal_allocation(strata, z, n)
+    want = loop_neyman_allocation(strata, z, n)
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.fallback, got.repaired) == (want.fallback, want.repaired)
